@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate the selector-ladder comparison bench against its baseline.
+"""Gate the selector comparison bench against its baseline.
 
 Usage: check_selector_bench.py BENCH_selector.json bench/selector_baseline.json
 
@@ -7,9 +7,12 @@ Reads the measured JSON written by bench/selector_comparison and the
 checked-in baseline, prints a per-model summary, and fails (exit 1) if
 any of the following hold:
 
-  - quality (per model, measured run): pbqp_cost > chain_dp_cost. The
-    PBQP rung sits above chain-DP in the fallback ladder, so it must
-    never serve a worse selection than the rung it shadows.
+  - quality (per model, measured run): pbqp_cost != chain_dp_cost.
+    Chain-DP is an exact-or-refuse solver (a refusal already fails the
+    bench run), so its cost is the Agg_Cost optimum and PBQP -- the rung
+    that serves when the requested strategy and gcd2 refuse -- must
+    match it exactly: above it is a worse selection, below it is an
+    Agg_Cost accounting bug.
   - search time (aggregate): sum of pbqp_seconds >= sum of
     exhaustive_seconds. The exhaustive runs are evaluation-budgeted
     lower bounds on true exhaustive time wherever they truncate
@@ -70,10 +73,10 @@ def main() -> int:
             f" pbqp_ms={m['pbqp_seconds'] * 1e3:.3f}"
             f" exhaustive_ms{bound}{m['exhaustive_seconds'] * 1e3:.3f}"
         )
-        if m["pbqp_cost"] > m["chain_dp_cost"]:
+        if m["pbqp_cost"] != m["chain_dp_cost"]:
             fail(
-                f"{name}: pbqp cost {m['pbqp_cost']} exceeds chain-dp "
-                f"cost {m['chain_dp_cost']}"
+                f"{name}: pbqp cost {m['pbqp_cost']} differs from the "
+                f"exact chain-dp cost {m['chain_dp_cost']}"
             )
         base = baseline_models.get(name)
         if base and m["pbqp_cost"] > base["pbqp_cost"]:

@@ -295,8 +295,8 @@ CompilationSession::passSelection(PassReport &pass, CompiledModel &result)
 {
     const uint64_t budget = options_.maxSelectorEvaluations;
 
-    const auto solveRequested = [&]() -> select::SelectorResult {
-        switch (options_.selection) {
+    const auto solve = [&](SelectionMode mode) -> select::SelectorResult {
+        switch (mode) {
           case SelectionMode::Gcd2:
             return select::selectGcd2Partitioned(
                 *table_, options_.maxPartition, &pool_, budget);
@@ -332,53 +332,33 @@ CompilationSession::passSelection(PassReport &pass, CompiledModel &result)
         GCD2_PANIC("unknown selection mode");
     };
 
-    // Graceful-degradation ladder: the requested strategy, then ever
-    // cheaper solvers. A rung that throws FatalError (user-class
-    // failure: free-node cap, bad partition bound, injected fault) is
-    // recorded and the next rung serves instead; selectLocal at the
-    // bottom cannot fail, so a compile only aborts if *every* rung is
-    // broken. Internal-bug panics (PanicError) still propagate.
-    struct Rung
-    {
-        const char *name;
-        std::function<select::SelectorResult()> solve;
-    };
-    std::vector<Rung> ladder;
-    ladder.push_back({selectionModeName(options_.selection),
-                      solveRequested});
-    const auto addFallback = [&](const char *name,
-                                 std::function<select::SelectorResult()>
-                                     solve) {
-        for (const Rung &rung : ladder)
-            if (std::string_view(rung.name) == name)
-                return;
-        ladder.push_back({name, std::move(solve)});
-    };
-    addFallback("gcd2", [&] {
-        return select::selectGcd2Partitioned(
-            *table_, options_.maxPartition, &pool_, budget);
-    });
-    // PBQP sits between the budgeted partitioned solver and the tree
-    // DP: polynomial like chain-dp, but with the full pairwise cost
-    // structure (R0/R1/R2 exact, RN heuristic on dense remainders).
-    addFallback("pbqp",
-                [&] { return select::selectPbqp(*table_, &pbqpStats_); });
-    addFallback("chain-dp", [&] { return select::selectChainDp(*table_); });
-    addFallback("local", [&] { return select::selectLocal(*table_); });
+    // Graceful-degradation ladder: the requested strategy, then gcd2,
+    // then pbqp, each listed once. A rung that throws FatalError
+    // (user-class failure: free-node cap, bad partition bound, injected
+    // fault) is recorded and the next rung serves instead; pbqp at the
+    // bottom has no FatalError path (polynomial, no budget, no size
+    // cap), so a compile only aborts if *every* rung is broken.
+    // Internal-bug panics (PanicError) still propagate.
+    std::vector<SelectionMode> ladder{options_.selection};
+    for (const SelectionMode fallback :
+         {SelectionMode::Gcd2, SelectionMode::Pbqp})
+        if (fallback != options_.selection)
+            ladder.push_back(fallback);
 
     for (size_t i = 0; i < ladder.size(); ++i) {
+        const char *name = selectionModeName(ladder[i]);
         try {
-            select::SelectorResult r = ladder[i].solve();
+            select::SelectorResult r = solve(ladder[i]);
             if (i == 0 && options_.testSelectionFault)
                 options_.testSelectionFault(r);
             result.selector = std::move(r);
-            report_.servedSelection = ladder[i].name;
+            report_.servedSelection = name;
             report_.selectionRung = static_cast<int>(i);
             break;
         } catch (const FatalError &err) {
             diag_.add(DiagSeverity::Warning, "selection", -1,
-                      std::string("rung '") + ladder[i].name +
-                          "' failed (" + err.what() + "); falling back");
+                      std::string("rung '") + name + "' failed (" +
+                          err.what() + "); falling back");
             if (i + 1 == ladder.size())
                 throw; // ladder exhausted: nothing left to serve
         }
@@ -600,15 +580,14 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     const std::string &served = report_.servedSelection;
 
     // Selection audit. The local-baseline floor is only sound for
-    // solvers that dominate selectLocal by construction; the deep exact
-    // re-solve additionally requires the served rung to claim global
-    // optimality on this graph (gcd2 is exact when no component was
-    // chunked, i.e. all free nodes fit one partition) and an
+    // solvers that dominate selectLocal by construction -- every rung
+    // but uniform, which pins one scheme regardless of cost; the deep
+    // exact re-solve additionally requires the served rung to claim
+    // global optimality on this graph (gcd2 is exact when no component
+    // was chunked, i.e. all free nodes fit one partition) and an
     // un-truncated search.
     select::SelectionAuditOptions auditOpts;
-    auditOpts.checkNotWorseThanLocal =
-        served == "gcd2" || served == "global-optimal" ||
-        served == "local" || served == "pbqp";
+    auditOpts.checkNotWorseThanLocal = served != "uniform";
     auditOpts.deepMaxFreeNodes = 12;
     auditOpts.deep =
         deep && !result.selector.truncated &&

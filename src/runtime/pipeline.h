@@ -9,7 +9,7 @@
  *                     the canonical kernels happen here, memoized)
  *   selection         global layout/instruction selection (IV-A/B),
  *                     served through a fallback ladder (requested
- *                     strategy -> gcd2 -> pbqp -> chain-dp -> local): a
+ *                     strategy -> gcd2 -> pbqp, each listed once): a
  *                     rung that throws FatalError is recorded as a
  *                     Warning diagnostic and the next rung serves
  *                     instead

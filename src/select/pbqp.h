@@ -24,9 +24,10 @@
  * Either way the served selection is floored at the local baseline, so
  * the rung always satisfies the audit's not-worse-than-local check.
  *
- * Complexity is polynomial (no branch-and-bound, no evaluation budget),
- * which is what qualifies PBQP as the ladder rung between the budgeted
- * partitioned solver and the chain DP.
+ * Complexity is polynomial (no branch-and-bound, no evaluation budget,
+ * no size cap), which is what qualifies PBQP as the ladder's last rung:
+ * it serves whenever the requested strategy and the budgeted
+ * partitioned solver both refuse.
  */
 #ifndef GCD2_SELECT_PBQP_H
 #define GCD2_SELECT_PBQP_H

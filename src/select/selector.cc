@@ -489,156 +489,9 @@ freeComponents(const PlanTable &table)
     return components;
 }
 
-/**
- * Eq. 2 chain/in-tree DP with first-visitor reconstruction and
- * coordinate-descent conflict repair -- the historical middle rung,
- * kept as the fallback for components whose biconnected blocks are too
- * large to enumerate exactly. Expects @p result pre-initialized with a
- * complete selection (every live node assigned); overwrites it.
- */
-void
-chainDpClassic(const PlanTable &table, SelectorResult &result)
-{
-    const graph::Graph &graph = table.graph();
-
-    // Eq. 2, generalized from chains to in-trees: process in topological
-    // order; dp[v][p] = Cost(ep_p(v)) + sum over inputs of
-    // min_q (dp[in][q] + TC(ep_q(in), ep_p(v))).
-    std::vector<std::vector<uint64_t>> dp(graph.size());
-    std::vector<std::vector<std::vector<int>>> choice(graph.size());
-
-    for (const graph::Node &node : graph.nodes()) {
-        if (node.dead)
-            continue;
-        const auto &plans = table.plans(node.id);
-        dp[static_cast<size_t>(node.id)].resize(plans.size());
-        choice[static_cast<size_t>(node.id)].resize(plans.size());
-        for (size_t p = 0; p < plans.size(); ++p) {
-            uint64_t cost = plans[p].cycles;
-            auto &picks = choice[static_cast<size_t>(node.id)][p];
-            for (NodeId in : node.inputs) {
-                if (graph.node(in).dead)
-                    continue;
-                const auto &inDp = dp[static_cast<size_t>(in)];
-                uint64_t bestIn = UINT64_MAX;
-                int bestQ = 0;
-                for (size_t q = 0; q < inDp.size(); ++q) {
-                    const uint64_t c =
-                        inDp[q] + table.tc(in, node.id,
-                                           static_cast<int>(q),
-                                           static_cast<int>(p));
-                    ++result.evaluations;
-                    if (c < bestIn) {
-                        bestIn = c;
-                        bestQ = static_cast<int>(q);
-                    }
-                }
-                cost += bestIn;
-                picks.push_back(bestQ);
-            }
-            dp[static_cast<size_t>(node.id)][p] = cost;
-        }
-    }
-
-    // Reconstruct from the outputs downward. On in-trees every producer
-    // is visited once and the reconstruction is exact. With fan-out a
-    // producer may be claimed by several consumers that each want a
-    // different plan; the first visitor wins provisionally and the node
-    // is marked conflicted for repair below.
-    std::vector<bool> assigned(graph.size(), false);
-    std::vector<bool> conflicted(graph.size(), false);
-    bool anyConflict = false;
-    std::vector<std::pair<NodeId, int>> work;
-    for (const graph::Node &node : graph.nodes())
-        if (!node.dead && node.op == OpType::Output)
-            work.emplace_back(node.id, 0);
-    while (!work.empty()) {
-        const auto [id, plan] = work.back();
-        work.pop_back();
-        if (assigned[static_cast<size_t>(id)]) {
-            if (result.selection.planIndex[static_cast<size_t>(id)] !=
-                plan) {
-                conflicted[static_cast<size_t>(id)] = true;
-                anyConflict = true;
-            }
-            continue;
-        }
-        assigned[static_cast<size_t>(id)] = true;
-        result.selection.planIndex[static_cast<size_t>(id)] = plan;
-        const graph::Node &node = graph.node(id);
-        size_t liveInput = 0;
-        for (NodeId in : node.inputs) {
-            if (graph.node(in).dead)
-                continue;
-            work.emplace_back(
-                in, choice[static_cast<size_t>(id)]
-                          [static_cast<size_t>(plan)][liveInput]);
-            ++liveInput;
-        }
-    }
-
-    // Conflict repair: the first-visitor choice can be strictly worse
-    // than even selectLocal's on fan-out DAGs. Re-resolve each
-    // conflicted producer by picking the plan minimizing its share of
-    // the re-evaluated Agg_Cost with every other choice held fixed --
-    // plain coordinate descent, monotone in Agg_Cost, with a strict-<
-    // acceptance so it terminates and is deterministic.
-    if (anyConflict) {
-        const auto &edges = table.edges();
-        std::vector<std::vector<size_t>> edgesAt(graph.size());
-        for (size_t e = 0; e < edges.size(); ++e) {
-            edgesAt[static_cast<size_t>(edges[e].first)].push_back(e);
-            edgesAt[static_cast<size_t>(edges[e].second)].push_back(e);
-        }
-        auto &sel = result.selection.planIndex;
-        const auto localShare = [&](NodeId id, int p) {
-            uint64_t c =
-                table.plans(id)[static_cast<size_t>(p)].cycles;
-            for (size_t e : edgesAt[static_cast<size_t>(id)]) {
-                const auto &[src, dst] = edges[e];
-                if (src == id)
-                    c += table.tc(src, dst, p,
-                                  sel[static_cast<size_t>(dst)]);
-                else
-                    c += table.tc(src, dst,
-                                  sel[static_cast<size_t>(src)], p);
-            }
-            return c;
-        };
-        bool changed = true;
-        for (int round = 0; round < 8 && changed; ++round) {
-            changed = false;
-            for (const graph::Node &node : graph.nodes()) {
-                if (node.dead || !conflicted[static_cast<size_t>(
-                                     node.id)])
-                    continue;
-                const auto &plans = table.plans(node.id);
-                const int cur = sel[static_cast<size_t>(node.id)];
-                int bestPlan = cur;
-                uint64_t bestShare = localShare(node.id, cur);
-                for (size_t p = 0; p < plans.size(); ++p) {
-                    if (static_cast<int>(p) == cur)
-                        continue;
-                    ++result.evaluations;
-                    const uint64_t share =
-                        localShare(node.id, static_cast<int>(p));
-                    if (share < bestShare) {
-                        bestShare = share;
-                        bestPlan = static_cast<int>(p);
-                    }
-                }
-                if (bestPlan != cur) {
-                    sel[static_cast<size_t>(node.id)] = bestPlan;
-                    changed = true;
-                }
-            }
-        }
-    }
-}
-
 /** Enumeration guard for one biconnected block: past this many plan
- *  combinations the block is not exhaustively solvable and the
- *  component falls back to chainDpClassic. */
+ *  combinations the block is not exhaustively solvable and
+ *  selectChainDp refuses the graph. */
 constexpr uint64_t kMaxBlockCombos = 200000;
 
 /** One biconnected block of the free graph: node positions plus the fg
@@ -744,10 +597,10 @@ biconnectedBlocks(const FreeGraph &fg, const std::vector<int> &component)
  * biconnected block is enumerated exhaustively, and blocks compose
  * through their cut vertices with per-plan messages -- chain DP across
  * the tree, so the result is an Agg_Cost optimum of the component.
- * Returns false, leaving @p assign untouched, when any block's
+ * Throws FatalError, leaving @p assign untouched, when any block's
  * combination count exceeds kMaxBlockCombos.
  */
-bool
+void
 treeDpComponent(const FreeGraph &fg, const std::vector<int> &component,
                 std::vector<int> &assign, uint64_t &evaluations)
 {
@@ -757,7 +610,7 @@ treeDpComponent(const FreeGraph &fg, const std::vector<int> &component,
         assign[static_cast<size_t>(i)] = static_cast<int>(
             std::min_element(vec.begin(), vec.end()) - vec.begin());
         evaluations += vec.size();
-        return true;
+        return;
     }
 
     const std::vector<BcBlock> blocks =
@@ -767,8 +620,11 @@ treeDpComponent(const FreeGraph &fg, const std::vector<int> &component,
         uint64_t combos = 1;
         for (const int i : block.nodes) {
             combos *= fg.planCount(i);
-            if (combos > kMaxBlockCombos)
-                return false; // oversized block: nothing mutated yet
+            GCD2_REQUIRE(combos <= kMaxBlockCombos,
+                         "chain-dp block of " << block.nodes.size()
+                             << " free operators exceeds "
+                             << kMaxBlockCombos
+                             << " plan combinations");
         }
     }
 
@@ -902,7 +758,6 @@ treeDpComponent(const FreeGraph &fg, const std::vector<int> &component,
             if (i != c)
                 assign[static_cast<size_t>(i)] = pick[t++];
     }
-    return true;
 }
 
 } // namespace
@@ -940,58 +795,34 @@ selectChainDp(const PlanTable &table)
     result.selection = emptySelection(table);
 
     // Decompose the free graph into connected components and each
-    // component into its block-cut tree. A component whose biconnected
-    // blocks are all enumerable is solved *exactly* -- tree DP across
-    // blocks, chain-DP composition at cut vertices -- retiring the
-    // first-visitor conflict repair there. Only components with an
-    // oversized block still use the classic Eq. 2 pass (run once over
-    // the whole graph, then overwritten per decomposable component;
-    // sound because free components are independent given the pinned
-    // operators, so a per-component optimum can only improve the sum).
+    // component into its block-cut tree; every component is solved
+    // exactly -- tree DP across blocks, chain-DP composition at cut
+    // vertices -- or, if any block is too large to enumerate, the whole
+    // solve refuses (exact-or-refuse: the result is always an Agg_Cost
+    // optimum, never a heuristic).
     const FreeGraph fg = FreeGraph::build(table);
-    std::vector<std::vector<int>> comps;
-    {
-        std::vector<uint8_t> seen(fg.size(), 0);
-        for (size_t i = 0; i < fg.size(); ++i) {
-            if (seen[i])
-                continue;
-            seen[i] = 1;
-            comps.push_back({static_cast<int>(i)});
-            std::vector<int> &comp = comps.back();
-            for (size_t head = 0; head < comp.size(); ++head) {
-                const int u = comp[head];
-                for (const int e : fg.adj[static_cast<size_t>(u)]) {
-                    const int w = fg.otherEnd(e, u);
-                    if (!seen[static_cast<size_t>(w)]) {
-                        seen[static_cast<size_t>(w)] = 1;
-                        comp.push_back(w);
-                    }
+    std::vector<int> assign(fg.size(), -1);
+    std::vector<uint8_t> seen(fg.size(), 0);
+    for (size_t i = 0; i < fg.size(); ++i) {
+        if (seen[i])
+            continue;
+        seen[i] = 1;
+        std::vector<int> comp{static_cast<int>(i)};
+        for (size_t head = 0; head < comp.size(); ++head) {
+            const int u = comp[head];
+            for (const int e : fg.adj[static_cast<size_t>(u)]) {
+                const int w = fg.otherEnd(e, u);
+                if (!seen[static_cast<size_t>(w)]) {
+                    seen[static_cast<size_t>(w)] = 1;
+                    comp.push_back(w);
                 }
             }
         }
+        treeDpComponent(fg, comp, assign, result.evaluations);
     }
-
-    std::vector<int> assign(fg.size(), -1);
-    std::vector<uint8_t> exact(comps.size(), 0);
-    bool allExact = true;
-    for (size_t i = 0; i < comps.size(); ++i) {
-        exact[i] = treeDpComponent(fg, comps[i], assign,
-                                   result.evaluations)
-                       ? 1
-                       : 0;
-        allExact = allExact && exact[i] != 0;
-    }
-
-    if (!allExact)
-        chainDpClassic(table, result);
-    for (size_t i = 0; i < comps.size(); ++i) {
-        if (exact[i] == 0)
-            continue;
-        for (const int pos : comps[i])
-            result.selection.planIndex[static_cast<size_t>(
-                fg.nodes[static_cast<size_t>(pos)])] =
-                assign[static_cast<size_t>(pos)];
-    }
+    for (size_t pos = 0; pos < fg.size(); ++pos)
+        result.selection.planIndex[static_cast<size_t>(fg.nodes[pos])] =
+            assign[pos];
 
     result.selection.totalCost = aggCost(table, result.selection);
     result.seconds = timer.seconds();

@@ -8,15 +8,16 @@
  *
  *  - Local: per-operator argmin, ignoring transformation costs (the
  *    "local optimal" baseline of Fig. 10).
- *  - ChainDp: block-cut tree DP over the free-operator graph. Each
- *    connected component is decomposed into its biconnected blocks;
- *    blocks are solved exhaustively and composed through cut vertices
- *    with per-plan messages, so the result is *exact* on every
- *    component whose blocks stay enumerable (chains, in-trees, and any
- *    DAG whose fan-out reconverges within a small block -- diamonds
- *    included). Components with an oversized block fall back to the
- *    historical Eq. 2 in-tree DP with monotone coordinate-descent
- *    conflict repair (heuristic there, and only there).
+ *  - ChainDp: the Eq. 2 DP generalized to a block-cut tree DP over the
+ *    free-operator graph. Each connected component is decomposed into
+ *    its biconnected blocks; blocks are solved exhaustively and
+ *    composed through cut vertices with per-plan messages, so the
+ *    result is *exact* (chains, in-trees, and any DAG whose fan-out
+ *    reconverges within a small block -- diamonds included).
+ *    Exact-or-refuse: a block over 200000 plan combinations throws
+ *    FatalError rather than serving a heuristic. No fallback rung
+ *    calls it; it is the Fig. 10 chain solver and the independent
+ *    exact oracle that PBQP is checked against.
  *  - GlobalOptimal: branch-and-bound exhaustive search over all
  *    free-choice operators (exponential; the Fig. 10 "global optimal").
  *  - Gcd2Partitioned: the paper's solution -- split the graph at
@@ -124,6 +125,11 @@ struct SelectorResult
 
 SelectorResult selectLocal(const PlanTable &table);
 
+/**
+ * Exact block-cut tree DP (see the file comment).
+ * @throws FatalError when a biconnected block of the free graph has
+ *         more than 200000 plan combinations.
+ */
 SelectorResult selectChainDp(const PlanTable &table);
 
 /**

@@ -35,7 +35,10 @@ CompileService::CompileService(ServiceOptions options)
       costCache_(options_.compile.costCache
                      ? options_.compile.costCache
                      : std::make_shared<select::CostCache>()),
-      modelCache_(options_.modelCacheEntries, /*shardCount=*/8),
+      // One shard: every lookup already runs under mutex_, so sharding
+      // buys no concurrency, while splitting the capacity lets one full
+      // shard evict models the cache as a whole still has room for.
+      modelCache_(options_.modelCacheEntries, /*shardCount=*/1),
       pool_(options_.numWorkers)
 {
     if (!options_.artifactDir.empty()) {

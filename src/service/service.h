@@ -29,9 +29,10 @@
  * of previous compiles (an EWMA of selector evaluations/second and of
  * the non-selection pipeline overhead), so a slow machine or a pricey
  * model class automatically tightens the search instead of blowing the
- * latency target. A tightened search that truncates degrades along the
- * selector's existing gcd2 -> chain-dp -> local fallback ladder and is
- * reported in the model's diagnostics, never refused.
+ * latency target. A tightened search that truncates serves its
+ * best-so-far assignment (never worse than the local baseline it is
+ * seeded with) and is reported in the model's diagnostics, never
+ * refused.
  *
  * Every public method is thread-safe; submit() never blocks on compile
  * work (only on the admission bookkeeping mutex).

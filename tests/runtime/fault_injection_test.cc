@@ -78,6 +78,39 @@ TEST(FaultInjectionTest, OversizedExhaustiveRequestDegradesToGcd2)
               compile(g, direct).selection.totalCost);
 }
 
+TEST(FaultInjectionTest, InvalidPartitionBoundFallsToPbqpAtRungTwo)
+{
+    // The deepest reachable rung: GlobalOptimal refuses the free-node
+    // cap, and gcd2 refuses maxPartition 0, so pbqp (which has no
+    // FatalError path) serves at rung 2.
+    const graph::Graph g = models::buildModel(ModelId::MobileNetV3);
+    CompileOptions opts;
+    opts.selection = SelectionMode::GlobalOptimal;
+    opts.maxPartition = 0;
+
+    const CompiledModel compiled = compile(g, opts);
+    EXPECT_EQ(compiled.report.servedSelection, "pbqp");
+    EXPECT_EQ(compiled.report.selectionRung, 2);
+    size_t fallbacks = 0;
+    for (const common::Diag &d : compiled.report.diagnostics)
+        if (d.severity == DiagSeverity::Warning &&
+            d.message.find("falling back") != std::string::npos)
+            ++fallbacks;
+    EXPECT_EQ(fallbacks, 2u);
+    EXPECT_TRUE(anyDiagContains(compiled.report, "rung 'global-optimal'"));
+    EXPECT_TRUE(anyDiagContains(compiled.report, "rung 'gcd2'"));
+    EXPECT_GT(compiled.totals.cycles, 0u);
+    const PassReport *selection = compiled.report.pass("selection");
+    ASSERT_NE(selection, nullptr);
+    EXPECT_EQ(selection->counter("fallback-rung"), 2u);
+
+    // The same cost a direct pbqp compile would have served.
+    CompileOptions direct;
+    direct.selection = SelectionMode::Pbqp;
+    EXPECT_EQ(compiled.selection.totalCost,
+              compile(g, direct).selection.totalCost);
+}
+
 TEST(FaultInjectionTest, SelectorBudgetTruncationIsDiagnosed)
 {
     const graph::Graph g = models::buildModel(ModelId::WdsrB);

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "graph/passes.h"
 #include "models/builders.h"
+#include "select/pbqp.h"
 #include "select/selector.h"
 
 namespace gcd2::select {
@@ -171,6 +172,11 @@ TEST(SelectionProperties, ChainDpIsOptimalOnRandomChains)
         const SelectorResult opt = selectGlobalOptimal(table);
         EXPECT_EQ(dp.selection.totalCost, opt.selection.totalCost)
             << "trial " << trial << " len " << len;
+        PbqpStats stats;
+        EXPECT_EQ(selectPbqp(table, &stats).selection.totalCost,
+                  opt.selection.totalCost)
+            << "trial " << trial << " len " << len;
+        EXPECT_EQ(stats.rn, 0u) << "trial " << trial << " len " << len;
     }
 }
 

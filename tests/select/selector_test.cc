@@ -1,13 +1,15 @@
 /**
  * @file
- * Global selection tests: Eq. 1 accounting, the Eq. 2 chain DP matching
- * exhaustive search on chains, the partitioned GCD2 solver approaching
+ * Global selection tests: Eq. 1 accounting, the Eq. 2 chain DP and PBQP
+ * matching exhaustive search on chains and diamonds, chain DP refusing
+ * blocks it cannot enumerate, the partitioned GCD2 solver approaching
  * the global optimum, and the local baseline paying transformation costs.
  */
 #include <gtest/gtest.h>
 
 #include "graph/passes.h"
 #include "models/builders.h"
+#include "select/pbqp.h"
 #include "select/selector.h"
 
 namespace gcd2::select {
@@ -118,6 +120,12 @@ TEST_F(SelectorTest, ChainDpMatchesExhaustiveOnChains)
         const SelectorResult opt = selectGlobalOptimal(table);
         EXPECT_EQ(dp.selection.totalCost, opt.selection.totalCost)
             << "chain length " << n;
+        // PBQP's R1 rule is this chain DP: exact, with no RN fired.
+        PbqpStats stats;
+        EXPECT_EQ(selectPbqp(table, &stats).selection.totalCost,
+                  opt.selection.totalCost)
+            << "chain length " << n;
+        EXPECT_EQ(stats.rn, 0u) << "chain length " << n;
     }
 }
 
@@ -237,12 +245,45 @@ TEST_F(SelectorTest, ChainDpExactOnDiamonds)
             << "branch channels " << branchC;
         EXPECT_EQ(dp.selection.totalCost, opt.selection.totalCost)
             << "branch channels " << branchC;
+        // The diamond reduces by R1/R2 alone, so PBQP is exact too.
+        PbqpStats stats;
+        EXPECT_EQ(selectPbqp(table, &stats).selection.totalCost,
+                  opt.selection.totalCost)
+            << "branch channels " << branchC;
+        EXPECT_EQ(stats.rn, 0u) << "branch channels " << branchC;
     }
     // And the plain diamond stays covered.
     Graph g = diamond();
     PlanTable table(g, model);
-    EXPECT_EQ(selectChainDp(table).selection.totalCost,
-              selectGlobalOptimal(table).selection.totalCost);
+    const uint64_t opt = selectGlobalOptimal(table).selection.totalCost;
+    EXPECT_EQ(selectChainDp(table).selection.totalCost, opt);
+    PbqpStats stats;
+    EXPECT_EQ(selectPbqp(table, &stats).selection.totalCost, opt);
+    EXPECT_EQ(stats.rn, 0u);
+}
+
+TEST_F(SelectorTest, ChainDpRefusesAnOversizedBlock)
+{
+    // Two parallel six-conv chains from one stem reconverge at an Add:
+    // one biconnected block of 14 free operators, over 3^13 > 200000
+    // plan combinations. Chain DP is exact-or-refuse, so it throws
+    // rather than serve a heuristic; PBQP still solves the graph.
+    Graph g;
+    NodeId x = input(g, {32, 16, 16});
+    const NodeId stem = conv(g, x, 32, 1, 1, 0, false);
+    NodeId a = stem;
+    NodeId b = stem;
+    for (int i = 0; i < 6; ++i) {
+        a = conv(g, a, 32, 1, 1, 0, false);
+        b = conv(g, b, 32, 1, 1, 0, false);
+    }
+    g.add(OpType::Output, {add(g, a, b)});
+    graph::optimize(g);
+
+    PlanTable table(g, model);
+    ASSERT_GE(table.freeNodes().size(), 14u);
+    EXPECT_THROW(selectChainDp(table), FatalError);
+    EXPECT_NO_THROW(selectPbqp(table));
 }
 
 TEST_F(SelectorTest, BudgetedExhaustiveServesBestSoFarInsteadOfRefusing)

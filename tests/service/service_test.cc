@@ -190,6 +190,35 @@ TEST(ServiceTest, ModelCacheServesRepeatSubmissionsWithoutCompiling)
     EXPECT_LE(report.modelCacheSize, report.modelCacheCapacity);
 }
 
+TEST(ServiceTest, ModelCacheHoldsTheWholeZooWithoutEvicting)
+{
+    // Ten distinct keys fit a 32-entry cache: none may be evicted, and a
+    // second round is served entirely from memory.
+    ServiceOptions options;
+    options.numWorkers = 2;
+    CompileService service(options);
+    std::vector<graph::Graph> zoo;
+    for (const models::ModelInfo &info : models::allModels())
+        zoo.push_back(models::buildModel(info.id));
+    ASSERT_EQ(zoo.size(), 10u);
+
+    for (const graph::Graph &g : zoo)
+        service.submit(g, "t");
+    service.drain();
+    ServiceReport report = service.report();
+    EXPECT_EQ(report.modelCacheCapacity, 32u);
+    EXPECT_EQ(report.modelCacheSize, 10u);
+    EXPECT_EQ(report.modelCache.evictions, 0u);
+
+    for (const graph::Graph &g : zoo)
+        EXPECT_EQ(service.submit(g, "t").path,
+                  Ticket::Path::ModelCacheHit);
+    service.drain();
+    report = service.report();
+    EXPECT_EQ(tenant(report, "t").modelCacheHits, 10u);
+    EXPECT_EQ(report.modelCache.evictions, 0u);
+}
+
 TEST(ServiceTest, ArtifactWarmStartSurvivesServiceRestart)
 {
     const graph::Graph g = models::buildModel(ModelId::WdsrB);
