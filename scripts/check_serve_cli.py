@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Argument-parsing regression test for the gcd2_serve CLI.
+"""Command-line regression test for the gcd2_serve CLI.
 
 Usage: check_serve_cli.py [path/to/gcd2_serve]
 
-Every case runs the binary with a malformed (or trivial) command line
-only -- no compile is triggered -- and checks the exit status plus the
-presence/absence of the usage text:
+Every argument case runs the binary with a malformed (or trivial)
+command line, which triggers no compile, and checks the exit status plus
+the presence/absence of the usage text:
   - a value-taking flag in final position (--dir, --workers, --repeat,
     --target-ms) must print "needs a value" plus usage and exit 2, not
     read past argv;
@@ -13,6 +13,10 @@ presence/absence of the usage text:
     swallowed as a model name;
   - --help / -h must print usage on stdout and exit 0;
   - an unknown model name must exit 2.
+One serving case compiles the smallest zoo model (WDSR-b) once:
+  - `--workers 2 --repeat 2 WDSR-b` must serve the repeat from the
+    in-memory model cache (`path=model-cache`), not coalesce it onto
+    the compile in flight.
 Registered as a ctest (serve_cli_args) so the full suite covers it.
 """
 import subprocess
@@ -64,11 +68,14 @@ def main() -> int:
     check("-h", ["-h"], 0, want_stdout="usage:")
     check("unknown model", ["no-such-model"], 2,
           want_stderr="unknown model")
+    check("repeat served from the model cache",
+          ["--workers", "2", "--repeat", "2", "WDSR-b"], 0,
+          want_stdout="path=model-cache")
 
     if failures:
         print(f"check_serve_cli: {failures} failure(s)", file=sys.stderr)
         return 1
-    print("check_serve_cli: all CLI argument cases handled")
+    print("check_serve_cli: all CLI cases handled")
     return 0
 
 

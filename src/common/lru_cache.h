@@ -21,12 +21,13 @@
  *    surfaced through Stats; the pipeline report and the compile
  *    service's ServiceReport both read them.
  *
- * lookupOrCompute() runs the miss computation *outside* the shard lock.
- * Every cache in this system stores pure functions of the key, so two
- * threads racing on one key may both compute, with bit-identical results
- * -- whichever inserts first wins and is what later lookups observe.
- * Values are returned by value (shared_ptr or small structs), never by
- * reference into the map, so eviction can never invalidate a caller.
+ * lookupOrCompute() is single-flight: the first miss on a key computes
+ * it *outside* the shard lock, and a concurrent caller asking for the
+ * same key waits for that computation and counts as a hit. So every key
+ * is computed once however many workers race on it, and the hit/miss
+ * counters are the same at every thread count. Values are returned by
+ * value (shared_ptr or small structs), never by reference into the map,
+ * so eviction can never invalidate a caller.
  */
 #ifndef GCD2_COMMON_LRU_CACHE_H
 #define GCD2_COMMON_LRU_CACHE_H
@@ -34,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -112,35 +114,59 @@ class ShardedLru
     {
         Shard &shard = shardFor(key);
         std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.index.find(key);
-        if (it != shard.index.end()) {
-            shard.order.splice(shard.order.begin(), shard.order,
-                               it->second);
-            return it->second->second;
-        }
-        if (shard.order.size() >= perShard_) {
-            shard.index.erase(shard.order.back().first);
-            shard.order.pop_back();
-            evictions_.fetch_add(1, std::memory_order_relaxed);
-        }
-        shard.order.emplace_front(key, std::move(value));
-        shard.index.emplace(key, shard.order.begin());
-        return shard.order.front().second;
+        return insertLocked(shard, key, std::move(value));
     }
 
     /**
-     * lookup() falling back to @p compute on a miss. The computation
-     * runs outside the shard lock (concurrent misses on any keys, even
-     * the same key, proceed in parallel); the first inserted value wins
-     * and is what every caller receives.
+     * lookup() falling back to @p compute on a miss, single-flight: the
+     * computation runs once per key, outside the shard lock, and callers
+     * that ask for the key while it runs wait for its value (or its
+     * exception) and count as hits. Concurrent misses on distinct keys
+     * proceed in parallel. @p compute must not look up the key it is
+     * computing.
      */
     Value
     lookupOrCompute(const Key &key,
                     const std::function<Value()> &compute)
     {
-        if (std::optional<Value> hit = lookup(key))
-            return *std::move(hit);
-        return insert(key, compute());
+        Shard &shard = shardFor(key);
+        std::unique_lock<std::mutex> lock(shard.mutex);
+        const auto it = shard.index.find(key);
+        if (it != shard.index.end()) {
+            shard.order.splice(shard.order.begin(), shard.order,
+                               it->second);
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            return it->second->second;
+        }
+        const auto pending = shard.inFlight.find(key);
+        if (pending != shard.inFlight.end()) {
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            const std::shared_future<Value> result = pending->second;
+            lock.unlock();
+            return result.get();
+        }
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        std::promise<Value> promise;
+        shard.inFlight.emplace(key, promise.get_future().share());
+        lock.unlock();
+
+        Value value = [&] {
+            try {
+                return compute();
+            } catch (...) {
+                lock.lock();
+                shard.inFlight.erase(key);
+                lock.unlock();
+                promise.set_exception(std::current_exception());
+                throw;
+            }
+        }();
+        lock.lock();
+        value = insertLocked(shard, key, std::move(value));
+        shard.inFlight.erase(key);
+        lock.unlock();
+        promise.set_value(value);
+        return value;
     }
 
     CacheStats
@@ -190,7 +216,29 @@ class ShardedLru
                                iterator,
                            Hash>
             index;
+        /** Keys a lookupOrCompute() caller is computing right now. */
+        std::unordered_map<Key, std::shared_future<Value>, Hash> inFlight;
     };
+
+    /** insert() with @p shard's mutex already held. */
+    Value
+    insertLocked(Shard &shard, const Key &key, Value value)
+    {
+        const auto it = shard.index.find(key);
+        if (it != shard.index.end()) {
+            shard.order.splice(shard.order.begin(), shard.order,
+                               it->second);
+            return it->second->second;
+        }
+        if (shard.order.size() >= perShard_) {
+            shard.index.erase(shard.order.back().first);
+            shard.order.pop_back();
+            evictions_.fetch_add(1, std::memory_order_relaxed);
+        }
+        shard.order.emplace_front(key, std::move(value));
+        shard.index.emplace(key, shard.order.begin());
+        return shard.order.front().second;
+    }
 
     Shard &
     shardFor(const Key &key)

@@ -216,6 +216,27 @@ Program::push(Instruction inst)
     return code.size() - 1;
 }
 
+void
+hashProgramText(const Program &prog, common::Fnv &fnv)
+{
+    for (const Instruction &inst : prog.code) {
+        fnv.value(static_cast<uint8_t>(inst.op));
+        fnv.value(static_cast<uint8_t>(inst.dst[0].cls));
+        fnv.value(inst.dst[0].idx);
+        for (const Operand &src : inst.src) {
+            fnv.value(static_cast<uint8_t>(src.cls));
+            fnv.value(src.idx);
+        }
+        fnv.value(inst.imm);
+    }
+    fnv.value(uint64_t{0xfeed});
+    for (size_t label : prog.labels)
+        fnv.value(static_cast<uint64_t>(label));
+    fnv.value(uint64_t{0xbeef});
+    for (int8_t reg : prog.noaliasRegs)
+        fnv.value(reg);
+}
+
 std::string
 Program::toString() const
 {

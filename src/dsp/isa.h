@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
+
 namespace gcd2::dsp {
 
 /** Number of scalar registers. */
@@ -274,6 +276,13 @@ struct Program
 
     std::string toString() const;
 };
+
+/**
+ * Feed the program text -- instructions, labels and the noalias ABI
+ * declaration -- into @p fnv. The shared prefix of the pack and decode
+ * fingerprints (vliw::PackKey, dsp::DecodeKey).
+ */
+void hashProgramText(const Program &prog, common::Fnv &fnv);
 
 // Instruction factory helpers ------------------------------------------
 

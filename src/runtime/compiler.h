@@ -218,10 +218,9 @@ inline constexpr double kPeakMacsPerCycle = 256.0;
 struct CompiledModel
 {
     /** A schedule the compile serves for one live operator: the packed
-     *  program of the canonical kernel the cost model simulated when
-     *  costing the node's chosen plan (shared with the process-wide
-     *  vliw::PackCache). Retained so the audit pass audits what was
-     *  served, not a re-pack. */
+     *  program of the primary kernel of the node's costed plan
+     *  (select::CostModel::planKernel). Retained so the audit pass
+     *  audits what was served, not a re-pack. */
     struct ServedSchedule
     {
         graph::NodeId node = 0;

@@ -26,6 +26,7 @@ using common::DiagSeverity;
 using select::CostModel;
 using select::ExecutionPlan;
 using select::NodeExecStats;
+using select::PlanKernel;
 using select::PlanTable;
 
 namespace {
@@ -401,6 +402,7 @@ CompilationSession::passKernelGeneration(PassReport &pass,
     const PackCacheDelta packDelta;
     nodeStats_.assign(graph_.size(), NodeExecStats{});
     const std::vector<graph::Node> &nodes = graph_.nodes();
+    std::vector<CostModel::Schedule> served(nodes.size());
     pool_.parallelFor(
         static_cast<int64_t>(nodes.size()), [&](int64_t i) {
             const graph::Node &node = nodes[static_cast<size_t>(i)];
@@ -410,14 +412,14 @@ CompilationSession::passKernelGeneration(PassReport &pass,
                 result.selection.planIndex[static_cast<size_t>(node.id)];
             const ExecutionPlan &plan =
                 table_->plans(node.id)[static_cast<size_t>(planIdx)];
-            nodeStats_[static_cast<size_t>(i)] =
-                model_->planStats(graph_, node.id, plan);
+            PlanKernel kernel = model_->planKernel(graph_, node.id, plan);
+            nodeStats_[static_cast<size_t>(i)] = kernel.stats;
+            served[static_cast<size_t>(i)] = std::move(kernel.schedule);
         });
 
-    // Retain the schedule served for every live operator: the packed
-    // program of the same canonical kernel planStats just simulated,
-    // answered by the PackCache (all hits at this point). Serial and in
-    // node order so the retained list is thread-count-invariant.
+    // Retain the schedule served for every live operator: the primary
+    // kernel of its costed plan. Serial and in node order so the
+    // retained list is thread-count-invariant.
     //
     // Dead-code elimination rewrites each distinct source program once
     // (memoized by identity -- nodes sharing a cached program share the
@@ -431,16 +433,10 @@ CompilationSession::passKernelGeneration(PassReport &pass,
     uint64_t dceRemovedPackets = 0;
     uint64_t dceRewritten = 0;
     for (const graph::Node &node : nodes) {
-        if (node.dead)
-            continue;
-        const int planIdx =
-            result.selection.planIndex[static_cast<size_t>(node.id)];
-        const ExecutionPlan &plan =
-            table_->plans(node.id)[static_cast<size_t>(planIdx)];
-        std::shared_ptr<const dsp::PackedProgram> program =
-            model_->canonicalSchedule(graph_, node.id, plan);
+        CostModel::Schedule program =
+            std::move(served[static_cast<size_t>(node.id)]);
         if (program == nullptr)
-            continue; // analytic operator: no kernel program served
+            continue; // dead, or analytic: no kernel program served
         if (options_.deadCodeElimination) {
             const auto memo = dceMemo.find(program.get());
             if (memo != dceMemo.end()) {

@@ -2,11 +2,12 @@
 
 #include <bit>
 
+#include "common/fnv.h"
+
 namespace gcd2::select {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 uint64_t
@@ -21,7 +22,7 @@ mix(uint64_t hash, uint64_t value)
 size_t
 CostKeyHash::operator()(const CostKey &key) const noexcept
 {
-    uint64_t hash = kFnvOffset;
+    uint64_t hash = common::kFnvLaneA;
     hash = mix(hash, static_cast<uint64_t>(key.kind));
     hash = mix(hash, static_cast<uint64_t>(static_cast<int64_t>(key.tag)));
     hash = mix(hash, static_cast<uint64_t>(key.unrollOut));

@@ -113,19 +113,23 @@ CostModel::~CostModel() = default;
 
 namespace {
 
-/** The periodic 16-bit accumulator-drain charge of matmulTileStats,
- *  exposed so dominance pruning can bound exact costs analytically. */
+/** Accumulator pairs the periodic 16-bit drain widens over a depth-@p k
+ *  reduction (see matmulTileStats); 0 for vrmpy's native 32-bit
+ *  accumulation. */
 uint64_t
-drainCycles(MatMulScheme scheme, const UnrollChoice &choice, int64_t k)
+drainPairs(MatMulScheme scheme, const UnrollChoice &choice, int64_t k)
 {
     if (scheme == MatMulScheme::Vrmpy)
         return 0;
     const int accPairs =
         choice.cols * (scheme == MatMulScheme::Vmpa ? 2 : 1);
     const int64_t drains = std::max<int64_t>(0, (k + 31) / 32 - 1);
-    return static_cast<uint64_t>(drains) *
-           static_cast<uint64_t>(accPairs) * 14;
+    return static_cast<uint64_t>(drains) * static_cast<uint64_t>(accPairs);
 }
+
+/** Cycles and instructions of one accumulator-pair drain. */
+constexpr uint64_t kDrainCyclesPerPair = 14;
+constexpr uint64_t kDrainInstsPerPair = 8;
 
 /** The canonical tile kernel matmulTileStats simulates. */
 MatMulShape
@@ -146,6 +150,63 @@ tileConfigOf(MatMulScheme scheme, const UnrollChoice &choice)
     return kernels::withUnroll(config, choice);
 }
 
+/** Row panels x column tiles of the kernel for @p shape: the factor that
+ *  scales one simulated tile to the whole kernel. */
+double
+tileTrips(const MatMulShape &shape, MatMulScheme scheme,
+          const UnrollChoice &choice)
+{
+    const int64_t panelSpan =
+        static_cast<int64_t>(panelRowsOf(scheme)) * choice.outer;
+    const int64_t tileSpan =
+        static_cast<int64_t>(colsPerUnitOf(scheme)) * choice.cols;
+    const double panels =
+        static_cast<double>(roundUp(shape.m, panelSpan) / panelSpan);
+    const double tiles =
+        static_cast<double>(roundUp(shape.n, tileSpan) / tileSpan);
+    return panels * tiles;
+}
+
+/** The convolution a Conv2D node computes (as an im2col matmul). */
+kernels::ConvShape
+convShapeOf(const graph::Graph &graph, const graph::Node &node)
+{
+    const tensor::Shape &in = graph.node(node.inputs[0]).shape;
+    const graph::NodeAttrs &a = node.attrs;
+    return kernels::ConvShape{in.dim(0), in.dim(1), in.dim(2),
+                              a.outC,    a.kH,      a.kW,
+                              a.strideH, a.strideW, a.padH,
+                              a.padW};
+}
+
+/** The per-batch matmul of a MatMul node; @p batch receives the batch
+ *  count. */
+MatMulShape
+matmulShapeOf(const graph::Graph &graph, const graph::Node &node,
+              int64_t *batch)
+{
+    const tensor::Shape &a = graph.node(node.inputs[0]).shape;
+    // node.shape may carry a fused epilogue transform; the kernel's own
+    // output columns come from the natural (pre-transform) shape.
+    const tensor::Shape natural = graph::naturalNodeShape(graph, node);
+    MatMulShape shape;
+    shape.m = a.dim(a.rank() - 2);
+    shape.k = a.dim(a.rank() - 1);
+    shape.n = natural.dim(natural.rank() - 1);
+    *batch = std::max<int64_t>(1, a.elements() / (shape.m * shape.k));
+    return shape;
+}
+
+/** Put the program @p fetch returns into @p slot unless the caller asked
+ *  for no schedule (null) or an earlier kernel already filled it. */
+template <typename Fetch>
+void
+serveInto(std::shared_ptr<const dsp::PackedProgram> *slot, Fetch &&fetch)
+{
+    if (slot != nullptr && *slot == nullptr)
+        *slot = fetch();
+}
+
 } // namespace
 
 CostKey
@@ -159,23 +220,29 @@ CostModel::baseKey(CostKind kind) const
     return key;
 }
 
+std::shared_ptr<const dsp::PackedProgram>
+CostModel::packOf(const dsp::Program &prog) const
+{
+    return vliw::PackCache::global().lookupOrPack(prog,
+                                                  options_.packOptions);
+}
+
 NodeExecStats
 CostModel::matmulTileStats(MatMulScheme scheme, const UnrollChoice &choice,
-                           int64_t k) const
+                           int64_t k, Schedule *schedule) const
 {
+    // One row panel x one column tile, full reduction depth: every other
+    // tile of the kernel does identical work, so scaling is exact.
+    const MatMulShape tile = tileShapeOf(scheme, choice, k);
+    const kernels::MatMulConfig config = tileConfigOf(scheme, choice);
+
     CostKey key = baseKey(CostKind::MatMulTile);
     key.tag = static_cast<int32_t>(scheme);
     key.unrollOut = choice.outer;
     key.unrollCols = choice.cols;
     key.unrollK = choice.k;
     key.extent = k;
-    return cache_->lookupOrCompute(key, [&] {
-        // One row panel x one column tile, full reduction depth: every
-        // other tile of the kernel does identical work, so scaling is
-        // exact.
-        const MatMulShape tile = tileShapeOf(scheme, choice, k);
-        const kernels::MatMulConfig config = tileConfigOf(scheme, choice);
-
+    const NodeExecStats stats = cache_->lookupOrCompute(key, [&] {
         NodeExecStats entry;
         if (tiered_) {
             // Shared-structure path: a certified affine derivation or a
@@ -194,26 +261,44 @@ CostModel::matmulTileStats(MatMulScheme scheme, const UnrollChoice &choice,
         // number of accumulation steps; production kernels periodically
         // widen the partial sums into 32-bit lanes. The generated kernels
         // implement the drain-free building block; the model charges the
-        // periodic widening (one widen + re-zero sequence per live
-        // accumulator pair every 32 reduction steps), which is what makes
-        // vrmpy (native 32-bit accumulation) win deep reductions -- the
-        // shape-dependent instruction trade-off behind Table II and
-        // Fig. 10.
-        if (scheme != MatMulScheme::Vrmpy) {
-            const int accPairs =
-                choice.cols * (scheme == MatMulScheme::Vmpa ? 2 : 1);
-            // Drain every 32 reduction steps (requantized-operand
-            // headroom in the halfword lanes); each drain reads the pair,
-            // widen-adds into the 32-bit partials and re-zeroes it -- ~14
-            // cycles per pair through the single shift and permute units.
-            const int64_t drains = std::max<int64_t>(0, (k + 31) / 32 - 1);
-            entry.cycles += static_cast<uint64_t>(drains) *
-                            static_cast<uint64_t>(accPairs) * 14;
-            entry.instructions += static_cast<uint64_t>(drains) *
-                                  static_cast<uint64_t>(accPairs) * 8;
-        }
+        // periodic widening, which is what makes vrmpy (native 32-bit
+        // accumulation) win deep reductions -- the shape-dependent
+        // instruction trade-off behind Table II and Fig. 10. Each live
+        // accumulator pair drains every 32 reduction steps (requantized-
+        // operand headroom in the halfword lanes); a drain reads the
+        // pair, widen-adds into the 32-bit partials and re-zeroes it --
+        // ~14 cycles per pair through the single shift and permute units.
+        const uint64_t pairs = drainPairs(scheme, choice, k);
+        entry.cycles += pairs * kDrainCyclesPerPair;
+        entry.instructions += pairs * kDrainInstsPerPair;
         return entry;
     });
+    // The tiered coster serves the class anchor's packet structure
+    // transplanted onto this kernel -- bit-identical to packing it
+    // (transplantCompatible programs share one dependence graph), and one
+    // shared PackedProgram object per (class, depth) so downstream passes
+    // that dedupe by pointer still coalesce.
+    serveInto(schedule, [&] {
+        return tiered_ ? tiered_->tileSchedule(tile, config)
+                       : packOf(kernels::MatMulKernel(tile, config).program());
+    });
+    return stats;
+}
+
+uint64_t
+CostModel::kernelLowerBound(const MatMulShape &shape, MatMulScheme scheme,
+                            const UnrollChoice &choice) const
+{
+    const uint64_t rawLb = tiered_->tileLowerBound(
+        tileShapeOf(scheme, choice, shape.k), tileConfigOf(scheme, choice));
+    if (rawLb == 0)
+        return 0;
+    // The exact path's drain charge and trip-count scaling (same double
+    // multiplication and truncation), so the result stays a true floor.
+    return static_cast<uint64_t>(
+        static_cast<double>(rawLb + drainPairs(scheme, choice, shape.k) *
+                                        kDrainCyclesPerPair) *
+        tileTrips(shape, scheme, choice));
 }
 
 UnrollChoice
@@ -236,42 +321,20 @@ CostModel::unrollFor(const MatMulShape &shape, MatMulScheme scheme) const
         choice = kernels::adaptiveUnroll(shape, scheme);
         break;
       case UnrollStrategy::Exhaustive: {
-        const int panel = panelRowsOf(scheme);
-        const int unit = colsPerUnitOf(scheme);
         uint64_t best = UINT64_MAX;
         for (const UnrollChoice &candidate : kernels::unrollCandidates()) {
-            const int64_t panelSpan =
-                static_cast<int64_t>(panel) * candidate.outer;
-            const int64_t tileSpan =
-                static_cast<int64_t>(unit) * candidate.cols;
-            const double panels = static_cast<double>(
-                roundUp(shape.m, panelSpan) / panelSpan);
-            const double tiles = static_cast<double>(
-                roundUp(shape.n, tileSpan) / tileSpan);
-            if (tiered_ && best != UINT64_MAX) {
-                // Tier-1 prefilter: a candidate whose certified analytic
-                // floor (raw bound + the same drain charge and trip-count
-                // scaling the exact path applies) already exceeds the
-                // best exact cost can never win the `cycles < best`
-                // argmin, so skip its pack + simulation entirely.
-                const uint64_t rawLb = tiered_->tileLowerBound(
-                    tileShapeOf(scheme, candidate, shape.k),
-                    tileConfigOf(scheme, candidate));
-                if (rawLb > 0) {
-                    const uint64_t scaledLb = static_cast<uint64_t>(
-                        static_cast<double>(
-                            rawLb +
-                            drainCycles(scheme, candidate, shape.k)) *
-                        (panels * tiles));
-                    if (scaledLb > best) {
-                        tiered_->notePruned(1);
-                        continue;
-                    }
-                }
+            // Tier-1 prefilter: a candidate whose certified analytic
+            // floor already exceeds the best exact cost can never win
+            // the `cycles < best` argmin, so skip its pack + simulation
+            // entirely.
+            if (tiered_ && best != UINT64_MAX &&
+                kernelLowerBound(shape, scheme, candidate) > best) {
+                tiered_->notePruned(1);
+                continue;
             }
             const uint64_t cycles =
                 matmulTileStats(scheme, candidate, shape.k)
-                    .scaled(panels * tiles)
+                    .scaled(tileTrips(shape, scheme, candidate))
                     .cycles;
             if (cycles < best) {
                 best = cycles;
@@ -286,72 +349,71 @@ CostModel::unrollFor(const MatMulShape &shape, MatMulScheme scheme) const
 
 NodeExecStats
 CostModel::matmulStats(const MatMulShape &shape, MatMulScheme scheme,
-                       uint64_t extraCycles) const
+                       uint64_t extraCycles, Schedule *schedule) const
 {
-    const int panel = panelRowsOf(scheme);
-    const int unit = colsPerUnitOf(scheme);
     const UnrollChoice choice = unrollFor(shape, scheme);
-
-    const int64_t panelSpan = static_cast<int64_t>(panel) * choice.outer;
-    const int64_t tileSpan = static_cast<int64_t>(unit) * choice.cols;
-    const double panels =
-        static_cast<double>(roundUp(shape.m, panelSpan) / panelSpan);
-    const double tiles =
-        static_cast<double>(roundUp(shape.n, tileSpan) / tileSpan);
-    NodeExecStats stats =
-        matmulTileStats(scheme, choice, shape.k).scaled(panels * tiles);
+    NodeExecStats stats = matmulTileStats(scheme, choice, shape.k, schedule)
+                              .scaled(tileTrips(shape, scheme, choice));
     stats.cycles += extraCycles;
     return stats;
 }
 
 NodeExecStats
-CostModel::depthwiseRowStats(int stride) const
+CostModel::depthwiseRowStats(int stride, Schedule *schedule) const
 {
+    kernels::DepthwiseConfig config;
+    config.channels = 1;
+    config.stride = stride;
+    config.inH = stride == 2 ? 5 : 4; // two output rows
+    config.inW = 256;
+
     CostKey key = baseKey(CostKind::DepthwiseRow);
     key.tag = stride;
-    return cache_->lookupOrCompute(key, [&] {
-        kernels::DepthwiseConfig config;
-        config.channels = 1;
-        config.stride = stride;
-        config.inH = stride == 2 ? 5 : 4; // two output rows
-        config.inW = 256;
+    const NodeExecStats stats = cache_->lookupOrCompute(key, [&] {
         const kernels::DepthwiseKernel kernel(config);
         const kernels::KernelRunResult run =
             kernels::runKernel(kernel.program(), kernel.buffers(), {}, {},
                                options_.packOptions);
         return fromTiming(run).scaled(0.5); // per output row tile
     });
+    serveInto(schedule, [&] {
+        return packOf(kernels::DepthwiseKernel(config).program());
+    });
+    return stats;
 }
 
 NodeExecStats
-CostModel::elementwiseStats(EwOp op, int64_t length) const
+CostModel::elementwiseStats(EwOp op, int64_t length,
+                            Schedule *schedule) const
 {
     const bool scalarOp = op == EwOp::Div || op == EwOp::DivLut;
-    const int64_t simLen =
-        std::min<int64_t>(length, scalarOp ? 512 : 8192);
+    kernels::EwConfig config;
+    config.op = op;
+    config.length = std::min<int64_t>(length, scalarOp ? 512 : 8192);
 
     CostKey key = baseKey(CostKind::Elementwise);
     key.tag = static_cast<int32_t>(op);
-    key.extent = simLen;
+    key.extent = config.length;
     const NodeExecStats entry = cache_->lookupOrCompute(key, [&] {
-        kernels::EwConfig config;
-        config.op = op;
-        config.length = simLen;
         const kernels::ElementwiseKernel kernel(config);
         const kernels::KernelRunResult run =
             kernels::runKernel(kernel.program(), kernel.buffers(), {}, {},
                                options_.packOptions);
         return fromTiming(run);
     });
+    serveInto(schedule, [&] {
+        return packOf(kernels::ElementwiseKernel(config).program());
+    });
 
     const double factor =
-        static_cast<double>(length) / static_cast<double>(simLen);
+        static_cast<double>(length) / static_cast<double>(config.length);
     return factor == 1.0 ? entry : entry.scaled(factor);
 }
 
 NodeExecStats
 CostModel::computeStats(const graph::Graph &graph, NodeId id,
-                        const ExecutionPlan &plan) const
+                        const ExecutionPlan &plan,
+                        Schedule *schedule) const
 {
     const graph::Node &node = graph.node(id);
     const MatrixView view = matrixView(node.shape);
@@ -386,7 +448,27 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
         }
         stats.cycles += cycles;
     };
+    // Epilogues a matmul-family kernel may carry.
+    const auto matmulEpilogues = [&](NodeExecStats &stats) {
+        const uint64_t vectors =
+            static_cast<uint64_t>((node.shape.elements() + 127) / 128);
+        if (node.attrs.fusedLut) {
+            // Fused nonlinearity: one extra VLUT per output vector in the
+            // epilogue (permute-unit bound), vs. a whole separate pass.
+            stats.cycles += vectors;
+        }
+        if (node.attrs.fusedAdd) {
+            // Fused residual: stream the second operand through the
+            // epilogue (one load + one byte-average per output vector).
+            stats.cycles += 2 * vectors;
+            stats.bytesLoaded += vectors * 128;
+            stats.instructions += 2 * vectors;
+        }
+        fusedTransformEpilogue(stats);
+    };
 
+    // Every kernel charge below gets the schedule slot; the first one
+    // fills it, so the served schedule is the plan's primary kernel.
     switch (node.op) {
       case OpType::Input:
       case OpType::Constant:
@@ -395,19 +477,7 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
         return {};
 
       case OpType::Conv2D: {
-        const tensor::Shape &in = graph.node(node.inputs[0]).shape;
-        kernels::ConvShape conv;
-        conv.inC = in.dim(0);
-        conv.inH = in.dim(1);
-        conv.inW = in.dim(2);
-        conv.outC = node.attrs.outC;
-        conv.kH = node.attrs.kH;
-        conv.kW = node.attrs.kW;
-        conv.strideH = node.attrs.strideH;
-        conv.strideW = node.attrs.strideW;
-        conv.padH = node.attrs.padH;
-        conv.padW = node.attrs.padW;
-
+        const kernels::ConvShape conv = convShapeOf(graph, node);
         uint64_t im2col = 0;
         NodeExecStats extraTraffic;
         if (!conv.isPointwise()) {
@@ -422,54 +492,20 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
             extraTraffic.instructions = static_cast<uint64_t>(
                 3 * (patchBytes / dsp::kVectorBytes));
         }
-        NodeExecStats stats =
-            matmulStats(conv.matmulShape(), plan.scheme, im2col);
+        NodeExecStats stats = matmulStats(conv.matmulShape(), plan.scheme,
+                                          im2col, schedule);
         stats += extraTraffic;
-        if (node.attrs.fusedLut) {
-            // Fused nonlinearity: one extra VLUT per output vector in the
-            // epilogue (permute-unit bound), vs. a whole separate pass.
-            stats.cycles += static_cast<uint64_t>(
-                (node.shape.elements() + 127) / 128);
-        }
-        if (node.attrs.fusedAdd) {
-            // Fused residual: stream the second operand through the
-            // epilogue (one load + one byte-average per output vector).
-            const uint64_t vectors = static_cast<uint64_t>(
-                (node.shape.elements() + 127) / 128);
-            stats.cycles += 2 * vectors;
-            stats.bytesLoaded += vectors * 128;
-            stats.instructions += 2 * vectors;
-        }
-        fusedTransformEpilogue(stats);
+        matmulEpilogues(stats);
         return stats;
       }
 
       case OpType::MatMul: {
-        const tensor::Shape &a = graph.node(node.inputs[0]).shape;
-        // node.shape may carry a fused epilogue transform; the kernel's
-        // own output columns come from the natural (pre-transform) shape.
-        const tensor::Shape natural = graph::naturalNodeShape(graph, node);
-        MatMulShape shape;
-        shape.m = a.dim(a.rank() - 2);
-        shape.k = a.dim(a.rank() - 1);
-        shape.n = natural.dim(natural.rank() - 1);
-        const int64_t batch =
-            std::max<int64_t>(1, a.elements() / (shape.m * shape.k));
-        NodeExecStats stats = matmulStats(shape, plan.scheme, 0);
+        int64_t batch = 1;
+        const MatMulShape shape = matmulShapeOf(graph, node, &batch);
+        NodeExecStats stats = matmulStats(shape, plan.scheme, 0, schedule);
         if (batch != 1)
             stats = stats.scaled(static_cast<double>(batch));
-        if (node.attrs.fusedLut) {
-            stats.cycles += static_cast<uint64_t>(
-                (node.shape.elements() + 127) / 128);
-        }
-        if (node.attrs.fusedAdd) {
-            const uint64_t vectors = static_cast<uint64_t>(
-                (node.shape.elements() + 127) / 128);
-            stats.cycles += 2 * vectors;
-            stats.bytesLoaded += vectors * 128;
-            stats.instructions += 2 * vectors;
-        }
-        fusedTransformEpilogue(stats);
+        matmulEpilogues(stats);
         return stats;
       }
 
@@ -490,7 +526,8 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
         // The canonical tile is 3x3; other kernel extents scale by taps.
         rowTiles *= static_cast<double>(node.attrs.kH * node.attrs.kW) /
                     9.0;
-        NodeExecStats stats = depthwiseRowStats(stride).scaled(rowTiles);
+        NodeExecStats stats =
+            depthwiseRowStats(stride, schedule).scaled(rowTiles);
         fusedTransformEpilogue(stats);
         return stats;
       }
@@ -498,17 +535,17 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
       case OpType::Add:
       case OpType::Sub:
       case OpType::Mul:
-        return elementwiseStats(EwOp::Add, paddedElements);
+        return elementwiseStats(EwOp::Add, paddedElements, schedule);
 
       case OpType::Div: {
         if (options_.lutOptimization) {
             // Reciprocal lookup + multiply: two LUT-class passes.
             NodeExecStats stats =
-                elementwiseStats(EwOp::Lut, paddedElements);
-            stats += elementwiseStats(EwOp::Lut, paddedElements);
+                elementwiseStats(EwOp::Lut, paddedElements, schedule);
+            stats += elementwiseStats(EwOp::Lut, paddedElements, schedule);
             return stats;
         }
-        return elementwiseStats(EwOp::Div, paddedElements);
+        return elementwiseStats(EwOp::Div, paddedElements, schedule);
       }
 
       case OpType::Pow:
@@ -520,22 +557,23 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
         // scalar lookup loop.
         return elementwiseStats(options_.lutOptimization ? EwOp::Lut
                                                          : EwOp::DivLut,
-                                paddedElements);
+                                paddedElements, schedule);
 
       case OpType::Clamp:
-        return elementwiseStats(EwOp::Clamp, paddedElements);
+        return elementwiseStats(EwOp::Clamp, paddedElements, schedule);
 
       case OpType::Softmax: {
         // exp lookup + row-sum reduce + per-row normalization.
         NodeExecStats stats = elementwiseStats(
-            options_.lutOptimization ? EwOp::Lut : EwOp::DivLut,
-            elements);
-        stats += elementwiseStats(EwOp::Add, elements); // reduction tree
+            options_.lutOptimization ? EwOp::Lut : EwOp::DivLut, elements,
+            schedule);
+        // Reduction tree, then the reciprocal scale.
+        stats += elementwiseStats(EwOp::Add, elements, schedule);
         if (options_.lutOptimization) {
-            stats += elementwiseStats(EwOp::Lut, elements); // recip scale
+            stats += elementwiseStats(EwOp::Lut, elements, schedule);
             stats.cycles += static_cast<uint64_t>(rows) * kLutDivCycles;
         } else {
-            stats += elementwiseStats(EwOp::Div, elements);
+            stats += elementwiseStats(EwOp::Div, elements, schedule);
             stats.cycles += static_cast<uint64_t>(rows) *
                             kScalarDivCycles;
         }
@@ -544,9 +582,10 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
 
       case OpType::LayerNorm: {
         // mean + variance reductions, then a scale/shift pass.
-        NodeExecStats stats = elementwiseStats(EwOp::Add, elements);
-        stats += elementwiseStats(EwOp::Add, elements);
-        stats += elementwiseStats(EwOp::Lut, elements);
+        NodeExecStats stats =
+            elementwiseStats(EwOp::Add, elements, schedule);
+        stats += elementwiseStats(EwOp::Add, elements, schedule);
+        stats += elementwiseStats(EwOp::Lut, elements, schedule);
         stats.cycles += static_cast<uint64_t>(rows) * perRowDiv;
         return stats;
       }
@@ -557,19 +596,21 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
         const int64_t passes = (window + 1) / 2;
         const EwOp op = node.op == OpType::MaxPool ? EwOp::MaxPool
                                                    : EwOp::AvgPool;
-        return elementwiseStats(op, 2 * elements)
+        return elementwiseStats(op, 2 * elements, schedule)
             .scaled(static_cast<double>(passes));
       }
 
       case OpType::GlobalAvgPool: {
         const int64_t inElements =
             graph.node(node.inputs[0]).shape.elements();
-        NodeExecStats stats = elementwiseStats(EwOp::Add, inElements);
+        NodeExecStats stats =
+            elementwiseStats(EwOp::Add, inElements, schedule);
         stats.cycles +=
             static_cast<uint64_t>(node.shape.elements()) * perRowDiv;
         return stats;
       }
 
+      // Costed analytically: no kernel program is served.
       case OpType::Upsample:
       case OpType::Concat:
         return analyticCopy((elements + 127) / 128, 3);
@@ -614,63 +655,22 @@ CostModel::planLowerBound(const graph::Graph &graph, NodeId id,
 {
     if (!tiered_)
         return 0;
-    const graph::Node &node = graph.node(id);
     // Only matmul-family plans have a certified analytic floor; every
-    // other operator reports "no bound" (0), which never prunes.
+    // other operator reports "no bound" (0), which never prunes. The
+    // floor drops every non-negative extra term of computeStats (im2col,
+    // fused epilogues).
+    const graph::Node &node = graph.node(id);
     MatMulShape shape;
     int64_t batch = 1;
-    switch (node.op) {
-      case OpType::Conv2D: {
-        const tensor::Shape &in = graph.node(node.inputs[0]).shape;
-        kernels::ConvShape conv;
-        conv.inC = in.dim(0);
-        conv.inH = in.dim(1);
-        conv.inW = in.dim(2);
-        conv.outC = node.attrs.outC;
-        conv.kH = node.attrs.kH;
-        conv.kW = node.attrs.kW;
-        conv.strideH = node.attrs.strideH;
-        conv.strideW = node.attrs.strideW;
-        conv.padH = node.attrs.padH;
-        conv.padW = node.attrs.padW;
-        shape = conv.matmulShape();
-        break;
-      }
-      case OpType::MatMul: {
-        const tensor::Shape &a = graph.node(node.inputs[0]).shape;
-        const tensor::Shape natural = graph::naturalNodeShape(graph, node);
-        shape.m = a.dim(a.rank() - 2);
-        shape.k = a.dim(a.rank() - 1);
-        shape.n = natural.dim(natural.rank() - 1);
-        batch = std::max<int64_t>(1, a.elements() / (shape.m * shape.k));
-        break;
-      }
-      default:
-        return 0;
-    }
-
-    const UnrollChoice choice = unrollFor(shape, plan.scheme);
-    const uint64_t rawLb = tiered_->tileLowerBound(
-        tileShapeOf(plan.scheme, choice, shape.k),
-        tileConfigOf(plan.scheme, choice));
-    if (rawLb == 0)
+    if (node.op == OpType::Conv2D)
+        shape = convShapeOf(graph, node).matmulShape();
+    else if (node.op == OpType::MatMul)
+        shape = matmulShapeOf(graph, node, &batch);
+    else
         return 0;
 
-    // Mirror computeStats' scaling exactly (same double multiplications
-    // and truncations), dropping every non-negative extra term (im2col,
-    // fused epilogues) so the result stays a true floor.
-    const int64_t panelSpan =
-        static_cast<int64_t>(panelRowsOf(plan.scheme)) * choice.outer;
-    const int64_t tileSpan =
-        static_cast<int64_t>(colsPerUnitOf(plan.scheme)) * choice.cols;
-    const double panels =
-        static_cast<double>(roundUp(shape.m, panelSpan) / panelSpan);
-    const double tiles =
-        static_cast<double>(roundUp(shape.n, tileSpan) / tileSpan);
-    uint64_t bound = static_cast<uint64_t>(
-        static_cast<double>(rawLb +
-                            drainCycles(plan.scheme, choice, shape.k)) *
-        (panels * tiles));
+    uint64_t bound = kernelLowerBound(
+        shape, plan.scheme, unrollFor(shape, plan.scheme));
     if (batch != 1) {
         bound = static_cast<uint64_t>(static_cast<double>(bound) *
                                       static_cast<double>(batch));
@@ -678,143 +678,13 @@ CostModel::planLowerBound(const graph::Graph &graph, NodeId id,
     return bound;
 }
 
-NodeExecStats
-CostModel::planStats(const graph::Graph &graph, NodeId id,
-                     const ExecutionPlan &plan) const
+PlanKernel
+CostModel::planKernel(const graph::Graph &graph, NodeId id,
+                      const ExecutionPlan &plan) const
 {
-    return computeStats(graph, id, plan);
-}
-
-std::shared_ptr<const dsp::PackedProgram>
-CostModel::canonicalSchedule(const graph::Graph &graph, NodeId id,
-                             const ExecutionPlan &plan) const
-{
-    const graph::Node &node = graph.node(id);
-    const MatrixView view = matrixView(node.shape);
-    const int64_t elements = node.shape.elements();
-    const int64_t paddedElements =
-        tensor::packedByteSize(plan.inLayout, view.rows, view.cols);
-
-    auto packOf = [&](const dsp::Program &prog) {
-        return vliw::PackCache::global().lookupOrPack(
-            prog, options_.packOptions);
-    };
-    auto matmulSchedule = [&](const MatMulShape &shape,
-                              MatMulScheme scheme) {
-        // Rebuild the exact canonical tile kernel matmulTileStats
-        // simulates for this shape's unroll choice.
-        const UnrollChoice choice = unrollFor(shape, scheme);
-        const MatMulShape tile = tileShapeOf(scheme, choice, shape.k);
-        const kernels::MatMulConfig config = tileConfigOf(scheme, choice);
-        // The tiered coster serves the class anchor's packet structure
-        // transplanted onto this kernel -- bit-identical to packing it
-        // (transplantCompatible programs share one dependence graph),
-        // and one shared PackedProgram object per (class, depth) so
-        // downstream passes that dedupe by pointer still coalesce.
-        if (tiered_)
-            return tiered_->tileSchedule(tile, config);
-        return packOf(kernels::MatMulKernel(tile, config).program());
-    };
-    auto elementwiseSchedule = [&](EwOp op, int64_t length) {
-        // Mirror elementwiseStats' canonical simulation length.
-        const bool scalarOp = op == EwOp::Div || op == EwOp::DivLut;
-        kernels::EwConfig config;
-        config.op = op;
-        config.length = std::min<int64_t>(length, scalarOp ? 512 : 8192);
-        return packOf(kernels::ElementwiseKernel(config).program());
-    };
-
-    switch (node.op) {
-      case OpType::Input:
-      case OpType::Constant:
-      case OpType::Output:
-      case OpType::Reshape:
-      case OpType::Upsample:
-      case OpType::Concat:
-      case OpType::Transpose:
-        return nullptr; // costed analytically; no kernel program served
-
-      case OpType::Conv2D: {
-        const tensor::Shape &in = graph.node(node.inputs[0]).shape;
-        kernels::ConvShape conv;
-        conv.inC = in.dim(0);
-        conv.inH = in.dim(1);
-        conv.inW = in.dim(2);
-        conv.outC = node.attrs.outC;
-        conv.kH = node.attrs.kH;
-        conv.kW = node.attrs.kW;
-        conv.strideH = node.attrs.strideH;
-        conv.strideW = node.attrs.strideW;
-        conv.padH = node.attrs.padH;
-        conv.padW = node.attrs.padW;
-        return matmulSchedule(conv.matmulShape(), plan.scheme);
-      }
-
-      case OpType::MatMul: {
-        const tensor::Shape &a = graph.node(node.inputs[0]).shape;
-        // Mirror computeStats: kernel columns from the natural shape.
-        const tensor::Shape natural = graph::naturalNodeShape(graph, node);
-        MatMulShape shape;
-        shape.m = a.dim(a.rank() - 2);
-        shape.k = a.dim(a.rank() - 1);
-        shape.n = natural.dim(natural.rank() - 1);
-        return matmulSchedule(shape, plan.scheme);
-      }
-
-      case OpType::DepthwiseConv2D: {
-        const int stride = node.attrs.strideW == 1 ? 1 : 2;
-        kernels::DepthwiseConfig config;
-        config.channels = 1;
-        config.stride = stride;
-        config.inH = stride == 2 ? 5 : 4;
-        config.inW = 256;
-        return packOf(kernels::DepthwiseKernel(config).program());
-      }
-
-      case OpType::Add:
-      case OpType::Sub:
-      case OpType::Mul:
-        return elementwiseSchedule(EwOp::Add, paddedElements);
-
-      case OpType::Div:
-        return elementwiseSchedule(options_.lutOptimization ? EwOp::Lut
-                                                            : EwOp::Div,
-                                   paddedElements);
-
-      case OpType::Pow:
-      case OpType::Sigmoid:
-      case OpType::Tanh:
-      case OpType::Gelu:
-        return elementwiseSchedule(options_.lutOptimization ? EwOp::Lut
-                                                            : EwOp::DivLut,
-                                   paddedElements);
-
-      case OpType::Clamp:
-        return elementwiseSchedule(EwOp::Clamp, paddedElements);
-
-      case OpType::Softmax:
-        return elementwiseSchedule(options_.lutOptimization ? EwOp::Lut
-                                                            : EwOp::DivLut,
-                                   elements);
-
-      case OpType::LayerNorm:
-        return elementwiseSchedule(EwOp::Add, elements);
-
-      case OpType::MaxPool:
-      case OpType::AvgPool:
-        return elementwiseSchedule(node.op == OpType::MaxPool
-                                       ? EwOp::MaxPool
-                                       : EwOp::AvgPool,
-                                   2 * elements);
-
-      case OpType::GlobalAvgPool:
-        return elementwiseSchedule(
-            EwOp::Add, graph.node(node.inputs[0]).shape.elements());
-
-      case OpType::kNumOps:
-        break;
-    }
-    GCD2_PANIC("unhandled op in canonicalSchedule");
+    PlanKernel kernel;
+    kernel.stats = computeStats(graph, id, plan, &kernel.schedule);
+    return kernel;
 }
 
 uint64_t

@@ -12,6 +12,12 @@
  * operators scale a simulated canonical length; reductions and
  * normalizations use documented compositions of simulated primitives.
  *
+ * The same walk picks the schedule a compile serves: planKernel returns
+ * a plan's stats together with the packed program of its *primary
+ * kernel*, the first canonical kernel computeStats charges for it. The
+ * served schedule is therefore the kernel that was costed, by
+ * construction (one per-operator switch decides both).
+ *
  * The options mirror the ablations of the paper's Fig. 9/11/12: which
  * VLIW packer generates the code, which unrolling strategy is used, and
  * whether the division-to-lookup-table optimization is applied.
@@ -63,10 +69,23 @@ struct CostModelOptions
     bool tieredCosting = true;
 };
 
+/** A plan's cost and the schedule served for it (CostModel::planKernel). */
+struct PlanKernel
+{
+    NodeExecStats stats;
+    /** Packed program of the plan's primary kernel; nullptr for operators
+     *  costed analytically (no kernel program exists for them). */
+    std::shared_ptr<const dsp::PackedProgram> schedule;
+};
+
 /** Memoizing cost model. */
 class CostModel
 {
   public:
+    /** A served schedule: a packed kernel program, shared and
+     *  immutable. */
+    using Schedule = std::shared_ptr<const dsp::PackedProgram>;
+
     /**
      * @param cache memo table for canonical-kernel simulations; a fresh
      *        private cache is created when omitted. Sharing a cache
@@ -90,9 +109,18 @@ class CostModel
     std::vector<ExecutionPlan> costedPlans(const graph::Graph &graph,
                                            graph::NodeId id) const;
 
-    /** Full event statistics of a node under a plan. */
-    NodeExecStats planStats(const graph::Graph &graph, graph::NodeId id,
-                            const ExecutionPlan &plan) const;
+    /**
+     * Full event statistics of a node under a plan, and the schedule
+     * served for it: the packed program of the plan's primary kernel
+     * (the first canonical kernel the stats charge), fetched from the
+     * source its costing used -- the tiered coster's transplanted tile
+     * schedule or the process-wide vliw::PackCache -- so nodes sharing a
+     * kernel share one PackedProgram object. The pipeline retains these
+     * in CompiledModel so the audit pass audits served schedules
+     * directly.
+     */
+    PlanKernel planKernel(const graph::Graph &graph, graph::NodeId id,
+                          const ExecutionPlan &plan) const;
 
     /** TC: cycles to transform a tensor between layouts (0 if equal). */
     uint64_t transformCost(const tensor::Shape &shape, tensor::Layout from,
@@ -106,41 +134,45 @@ class CostModel
     /**
      * Stats of a standalone matmul kernel under this model's unroll
      * strategy and packer (tile-simulated and scaled; also used by the
-     * per-kernel compiler baselines).
+     * per-kernel compiler baselines). @p schedule, when given, receives
+     * the tile kernel's schedule if still empty.
      */
     NodeExecStats matmulStats(const kernels::MatMulShape &shape,
                               kernels::MatMulScheme scheme,
-                              uint64_t extraCycles) const;
-
-    /**
-     * The schedule served for (node, plan): the packed program of the
-     * same canonical kernel this model simulates when costing the plan,
-     * fetched through the process-wide vliw::PackCache (a cache hit once
-     * the plan has been costed). The pipeline retains these in
-     * CompiledModel so the audit pass audits served schedules directly.
-     * Returns nullptr for operators costed analytically (no kernel
-     * program exists for them).
-     */
-    std::shared_ptr<const dsp::PackedProgram>
-    canonicalSchedule(const graph::Graph &graph, graph::NodeId id,
-                      const ExecutionPlan &plan) const;
+                              uint64_t extraCycles,
+                              Schedule *schedule = nullptr) const;
 
   private:
     /** Key prefix shared by every simulation under these options. */
     CostKey baseKey(CostKind kind) const;
+
+    /** @p prog packed under this model's options, via the PackCache. */
+    Schedule packOf(const dsp::Program &prog) const;
 
     /** The unroll choice matmulStats uses for @p shape under this
      *  model's strategy (Exhaustive scans the candidate set by cost). */
     kernels::UnrollChoice unrollFor(const kernels::MatMulShape &shape,
                                     kernels::MatMulScheme scheme) const;
 
+    /** Certified analytic floor on matmulStats(shape, scheme, 0).cycles
+     *  under @p choice (0 = no bound; requires the tiered coster). */
+    uint64_t kernelLowerBound(const kernels::MatMulShape &shape,
+                              kernels::MatMulScheme scheme,
+                              const kernels::UnrollChoice &choice) const;
+
+    // The canonical kernels. Each fills an empty @p schedule slot with
+    // the packed program of the kernel it charged.
     NodeExecStats matmulTileStats(kernels::MatMulScheme scheme,
                                   const kernels::UnrollChoice &choice,
-                                  int64_t k) const;
-    NodeExecStats depthwiseRowStats(int stride) const;
-    NodeExecStats elementwiseStats(kernels::EwOp op, int64_t length) const;
+                                  int64_t k,
+                                  Schedule *schedule = nullptr) const;
+    NodeExecStats depthwiseRowStats(int stride, Schedule *schedule) const;
+    NodeExecStats elementwiseStats(kernels::EwOp op, int64_t length,
+                                   Schedule *schedule) const;
+    /** The one (node, plan) -> canonical kernels mapping. */
     NodeExecStats computeStats(const graph::Graph &graph, graph::NodeId id,
-                               const ExecutionPlan &plan) const;
+                               const ExecutionPlan &plan,
+                               Schedule *schedule = nullptr) const;
 
     /** Certified analytic lower bound on a plan's cycles (0 = no bound);
      *  used by the same-layout dominance filter in costedPlans. */

@@ -1,7 +1,6 @@
 #include "vliw/pack_cache.h"
 
 #include <bit>
-#include <type_traits>
 
 #include "common/timer.h"
 
@@ -9,55 +8,11 @@ namespace gcd2::vliw {
 
 namespace {
 
-/** FNV-1a, same lane construction as the decode cache. */
-class Fnv
-{
-  public:
-    explicit Fnv(uint64_t seed) : h_(seed) {}
-
-    void
-    bytes(const void *data, size_t n)
-    {
-        const auto *p = static_cast<const uint8_t *>(data);
-        for (size_t i = 0; i < n; ++i) {
-            h_ ^= p[i];
-            h_ *= 0x100000001b3ULL;
-        }
-    }
-
-    template <typename T>
-    void
-    value(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        bytes(&v, sizeof(v));
-    }
-
-    uint64_t digest() const { return h_; }
-
-  private:
-    uint64_t h_;
-};
-
 void
-hashRequest(const dsp::Program &prog, const PackOptions &opts, Fnv &fnv)
+hashRequest(const dsp::Program &prog, const PackOptions &opts,
+            common::Fnv &fnv)
 {
-    for (const dsp::Instruction &inst : prog.code) {
-        fnv.value(static_cast<uint8_t>(inst.op));
-        fnv.value(static_cast<uint8_t>(inst.dst[0].cls));
-        fnv.value(inst.dst[0].idx);
-        for (const dsp::Operand &src : inst.src) {
-            fnv.value(static_cast<uint8_t>(src.cls));
-            fnv.value(src.idx);
-        }
-        fnv.value(inst.imm);
-    }
-    fnv.value(uint64_t{0xfeed});
-    for (size_t label : prog.labels)
-        fnv.value(static_cast<uint64_t>(label));
-    fnv.value(uint64_t{0xbeef});
-    for (int8_t reg : prog.noaliasRegs)
-        fnv.value(reg);
+    dsp::hashProgramText(prog, fnv);
     // Options: the policy plus the exact bit patterns of the scoring
     // tunables (two doubles that differ in any bit pack differently).
     fnv.value(uint64_t{0x9acc});
@@ -71,8 +26,8 @@ hashRequest(const dsp::Program &prog, const PackOptions &opts, Fnv &fnv)
 PackKey
 fingerprintForPacking(const dsp::Program &prog, const PackOptions &opts)
 {
-    Fnv a(0xcbf29ce484222325ULL);
-    Fnv b(0x9e3779b97f4a7c15ULL);
+    common::Fnv a(common::kFnvLaneA);
+    common::Fnv b(common::kFnvLaneB);
     hashRequest(prog, opts, a);
     hashRequest(prog, opts, b);
     b.value(uint64_t{0x5eed});
@@ -87,19 +42,14 @@ fingerprintForPacking(const dsp::Program &prog, const PackOptions &opts)
 std::shared_ptr<const dsp::PackedProgram>
 PackCache::lookupOrPack(const dsp::Program &prog, const PackOptions &opts)
 {
-    const PackKey key = fingerprintForPacking(prog, opts);
-    if (auto hit = lru_.lookup(key))
-        return *std::move(hit);
-
-    // Pack outside the lock: two threads may race on the same program,
-    // but packing is a pure function so either result is usable; the
-    // first insert wins.
-    Timer timer;
-    auto packed =
-        std::make_shared<const dsp::PackedProgram>(pack(prog, opts));
-    packNanos_.fetch_add(static_cast<uint64_t>(timer.seconds() * 1e9),
-                         std::memory_order_relaxed);
-    return lru_.insert(key, std::move(packed));
+    return lru_.lookupOrCompute(fingerprintForPacking(prog, opts), [&] {
+        Timer timer;
+        auto packed =
+            std::make_shared<const dsp::PackedProgram>(pack(prog, opts));
+        packNanos_.fetch_add(static_cast<uint64_t>(timer.seconds() * 1e9),
+                             std::memory_order_relaxed);
+        return packed;
+    });
 }
 
 PackCache::Stats

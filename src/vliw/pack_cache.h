@@ -49,9 +49,8 @@ PackKey fingerprintForPacking(const dsp::Program &prog,
                               const PackOptions &opts);
 
 /**
- * Thread-safe pack cache. Reads take a shared lock; a miss packs outside
- * any lock (packing is pure, so concurrent duplicate work is safe) and
- * publishes under an exclusive lock.
+ * Thread-safe pack cache. A miss packs outside the shard lock, once per
+ * program: threads asking for a program being packed wait for it.
  */
 class PackCache
 {
@@ -92,7 +91,8 @@ class PackCache
     common::ShardedLru<PackKey,
                        std::shared_ptr<const dsp::PackedProgram>, KeyHash>
         lru_;
-    /** Nanoseconds spent packing on misses (atomic: misses race). */
+    /** Nanoseconds spent packing on misses (atomic: misses on distinct
+     *  programs run concurrently). */
     std::atomic<uint64_t> packNanos_{0};
 };
 

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +67,19 @@ TEST(LruCacheTest, LookupOrComputeRunsOncePerResidentKey)
     const CacheStats s = cache.stats();
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.misses, 1u);
+}
+
+TEST(LruCacheTest, FailedComputeIsNotCached)
+{
+    ShardedLru<int, int> cache(8, 2);
+    EXPECT_THROW(cache.lookupOrCompute(
+                     3, []() -> int { throw std::runtime_error("boom"); }),
+                 std::runtime_error);
+    EXPECT_EQ(cache.size(), 0u);
+    // The failed key is no longer in flight: the next caller computes.
+    EXPECT_EQ(cache.lookupOrCompute(3, [] { return 30; }), 30);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(LruCacheTest, ClearResetsEntriesAndCounters)

@@ -1,11 +1,14 @@
 /**
  * @file
  * CostCache contract tests: typed-key equality/hashing, hit/miss
- * accounting, compute-once semantics, and safety of returned values
- * across rehashes and concurrent access.
+ * accounting, compute-once semantics (also for concurrent misses of
+ * one key), and safety of returned values across rehashes and
+ * concurrent access.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -120,10 +123,50 @@ TEST(CostCacheTest, ConcurrentLookupsAgree)
             EXPECT_EQ(seen[static_cast<size_t>(t)][static_cast<size_t>(k)],
                       static_cast<uint64_t>(1000 + k));
     EXPECT_EQ(cache.size(), static_cast<size_t>(kKeys));
-    // Every lookup either hit or missed; duplicated concurrent computes
-    // are allowed (first insert wins) but totals must add up.
+    // Every lookup either hit or missed, and each key missed once.
     EXPECT_EQ(cache.hits() + cache.misses(),
               static_cast<uint64_t>(kThreads) * kKeys);
+    EXPECT_EQ(cache.misses(), static_cast<uint64_t>(kKeys));
+}
+
+TEST(CostCacheTest, ConcurrentMissOfOneKeySimulatesOnce)
+{
+    CostCache cache;
+    std::atomic<int> computed{0};
+    std::promise<void> started;
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    const auto simulate = [&] {
+        if (computed.fetch_add(1) == 0)
+            started.set_value();
+        released.wait();
+        NodeExecStats fresh;
+        fresh.cycles = 4242;
+        return fresh;
+    };
+
+    uint64_t first = 0;
+    uint64_t second = 0;
+    std::thread a([&] {
+        first = cache.lookupOrCompute(keyWithTag(7), simulate).cycles;
+    });
+    started.get_future().wait();
+    // Ask for the key while the first simulation is still running, and
+    // let that simulation finish only once the second lookup was counted.
+    std::thread b([&] {
+        second = cache.lookupOrCompute(keyWithTag(7), simulate).cycles;
+    });
+    while (cache.hits() + cache.misses() < 2)
+        std::this_thread::yield();
+    release.set_value();
+    a.join();
+    b.join();
+
+    EXPECT_EQ(computed.load(), 1);
+    EXPECT_EQ(first, 4242u);
+    EXPECT_EQ(second, 4242u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(CostCacheTest, ClearResetsEverything)

@@ -92,12 +92,12 @@ TEST(CostModelTest, LutToggleOnlyAffectsDivisionFamilies)
     CostModel a(withLut), b(noLut);
 
     const ExecutionPlan plan; // row-major
-    EXPECT_LT(a.planStats(g, soft, plan).cycles,
-              b.planStats(g, soft, plan).cycles);
-    EXPECT_LT(a.planStats(g, gelu, plan).cycles,
-              b.planStats(g, gelu, plan).cycles);
-    EXPECT_EQ(a.planStats(g, clamp, plan).cycles,
-              b.planStats(g, clamp, plan).cycles);
+    EXPECT_LT(a.planKernel(g, soft, plan).stats.cycles,
+              b.planKernel(g, soft, plan).stats.cycles);
+    EXPECT_LT(a.planKernel(g, gelu, plan).stats.cycles,
+              b.planKernel(g, gelu, plan).stats.cycles);
+    EXPECT_EQ(a.planKernel(g, clamp, plan).stats.cycles,
+              b.planKernel(g, clamp, plan).stats.cycles);
 }
 
 TEST(CostModelTest, ZeroCostOps)
@@ -112,8 +112,8 @@ TEST(CostModelTest, ZeroCostOps)
 
     CostModel model;
     const ExecutionPlan plan;
-    EXPECT_EQ(model.planStats(g, x, plan).cycles, 0u);
-    EXPECT_EQ(model.planStats(g, r, plan).cycles, 0u);
+    EXPECT_EQ(model.planKernel(g, x, plan).stats.cycles, 0u);
+    EXPECT_EQ(model.planKernel(g, r, plan).stats.cycles, 0u);
 }
 
 TEST(CostModelTest, ElementwiseCostScalesWithPaddedLayout)
@@ -131,8 +131,8 @@ TEST(CostModelTest, ElementwiseCostScalesWithPaddedLayout)
     ExecutionPlan oneCol;
     oneCol.inLayout = tensor::Layout::OneColumn;
     oneCol.outLayout = tensor::Layout::OneColumn;
-    const uint64_t rm = model.planStats(g, y, rowMajor).cycles;
-    const uint64_t oc = model.planStats(g, y, oneCol).cycles;
+    const uint64_t rm = model.planKernel(g, y, rowMajor).stats.cycles;
+    const uint64_t oc = model.planKernel(g, y, oneCol).stats.cycles;
     EXPECT_GT(oc, 8 * rm);
 }
 
@@ -171,8 +171,8 @@ TEST(CostModelTest, BatchMatMulScalesLinearly)
     ExecutionPlan plan;
     plan.scheme = MatMulScheme::Vrmpy;
     plan.inLayout = plan.outLayout = tensor::Layout::FourColumn;
-    const uint64_t batched = model.planStats(g, y, plan).cycles;
-    const uint64_t single = model.planStats(g1, y1, plan).cycles;
+    const uint64_t batched = model.planKernel(g, y, plan).stats.cycles;
+    const uint64_t single = model.planKernel(g1, y1, plan).stats.cycles;
     EXPECT_EQ(batched, 4 * single);
 }
 

@@ -3,11 +3,13 @@
  * Compile-service CLI: exercises the whole managed cache tier from the
  * command line (DESIGN.md section 14) and prints the service report.
  *
- * Each requested model is submitted `--repeat` times (default 3). The
- * first submission of a model compiles it (or warm-starts from the
- * artifact store when `--dir` points at a populated directory); repeats
- * are served from the in-memory model LRU. Run the tool twice with the
- * same `--dir` to see every compile turn into an artifact warm start.
+ * Each requested model is submitted `--repeat` times (default 3), in
+ * rounds. The first round submits every model once and drains: each
+ * submission compiles its model (or warm-starts from the artifact store
+ * when `--dir` points at a populated directory). The later rounds are
+ * submitted after that drain, so every repeat is served from the
+ * in-memory model LRU. Run the tool twice with the same `--dir` to see
+ * every compile turn into an artifact warm start.
  *
  * Usage:
  *   gcd2_serve [--dir DIR] [--workers N] [--repeat N] [--target-ms MS]
@@ -174,18 +176,28 @@ main(int argc, char **argv)
 
     service::CompileService service{std::move(options)};
 
-    std::vector<service::Ticket> tickets;
-    std::vector<const char *> names;
+    std::vector<const models::ModelInfo *> served;
+    std::vector<graph::Graph> graphs;
     for (const models::ModelInfo &info : models::allModels()) {
         if (!wanted.empty() &&
             std::find(wanted.begin(), wanted.end(), info.name) ==
                 wanted.end())
             continue;
-        const graph::Graph g = models::buildModel(info.id);
-        for (int r = 0; r < repeat; ++r) {
-            tickets.push_back(service.submit(g, "cli"));
-            names.push_back(info.name);
+        served.push_back(&info);
+        graphs.push_back(models::buildModel(info.id));
+    }
+
+    // Drain after the first round so the repeats find their models in
+    // the model LRU instead of coalescing onto the compiles in flight.
+    std::vector<service::Ticket> tickets;
+    std::vector<const char *> names;
+    for (int r = 0; r < repeat; ++r) {
+        for (size_t m = 0; m < served.size(); ++m) {
+            tickets.push_back(service.submit(graphs[m], "cli"));
+            names.push_back(served[m]->name);
         }
+        if (r == 0)
+            service.drain();
     }
     service.drain();
 
