@@ -7,10 +7,13 @@ Every argument case runs the binary with a malformed (or trivial)
 command line, which triggers no compile, and checks the exit status plus
 the presence/absence of the usage text:
   - a value-taking flag in final position (--dir, --workers, --repeat,
-    --target-ms) must print "needs a value" plus usage and exit 2, not
-    read past argv;
+    --max-artifact-bytes) must print "needs a value" plus usage and
+    exit 2, not read past argv;
   - an unknown flag must be rejected with usage and exit 2, not be
     swallowed as a model name;
+  - `--target-ms 5` must be rejected as an unknown flag with exit 2:
+    the service compiles with exactly the options it keys, so there is
+    no wall-clock budget flag;
   - --help / -h must print usage on stdout and exit 0;
   - an unknown model name must exit 2.
 One serving case compiles the smallest zoo model (WDSR-b) once:
@@ -51,7 +54,7 @@ def main() -> int:
         else:
             print(f"ok: {label}")
 
-    for flag in ["--dir", "--workers", "--repeat", "--target-ms"]:
+    for flag in ["--dir", "--workers", "--repeat", "--max-artifact-bytes"]:
         check(f"{flag} without value", [flag], 2,
               want_stderr="needs a value")
         # The usage text must accompany the error.
@@ -64,6 +67,8 @@ def main() -> int:
     check("unknown flag with usage", ["--bogus"], 2,
           want_stderr="usage:")
     check("unknown short flag", ["-x"], 2, want_stderr="unknown flag")
+    check("--target-ms is not a flag", ["--target-ms", "5"], 2,
+          want_stderr="unknown flag")
     check("--help", ["--help"], 0, want_stdout="usage:")
     check("-h", ["-h"], 0, want_stdout="usage:")
     check("unknown model", ["no-such-model"], 2,

@@ -22,26 +22,23 @@ lintPackedProgram(const dsp::PackedProgram &packed,
     LintResult result;
     const BlockGraph graph = buildBlockGraph(packed);
 
-    if (options.useBeforeDef)
-        result.counts.useBeforeDef =
-            analyzeUseBeforeDef(graph, options, result.diags);
-    if (options.deadStore)
-        result.counts.deadStore = analyzeDeadStores(graph, result.diags);
-    if (options.hazards)
-        result.counts.hazards = analyzeHazards(graph, result.diags);
+    const bool all = options.scope == LintScope::All;
 
-    // The address-based analyzers share one value-flow solve.
-    if (options.noalias || options.redundantLoad || options.bounds) {
+    if (all) {
+        result.counts.useBeforeDef =
+            analyzeUseBeforeDef(graph, result.diags);
+        result.counts.deadStore = analyzeDeadStores(graph, result.diags);
+    }
+    result.counts.hazards = analyzeHazards(graph, result.diags);
+
+    if (all) {
+        // The address-based analyzers share one value-flow solve.
         const ValueFlow flow = computeValueFlow(graph);
-        if (options.noalias)
-            result.counts.noalias =
-                analyzeNoalias(graph, flow, options, result.diags);
-        if (options.redundantLoad)
-            result.counts.redundantLoad =
-                analyzeRedundantLoads(graph, flow, result.diags);
-        if (options.bounds)
-            result.counts.bounds =
-                analyzeBounds(graph, flow, result.diags);
+        result.counts.noalias =
+            analyzeNoalias(graph, flow, options, result.diags);
+        result.counts.redundantLoad =
+            analyzeRedundantLoads(graph, flow, result.diags);
+        result.counts.bounds = analyzeBounds(graph, flow, result.diags);
     }
 
     for (const common::Diag &diag : result.diags) {

@@ -58,6 +58,7 @@
 #define GCD2_ANALYSIS_LINT_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -68,22 +69,20 @@
 
 namespace gcd2::analysis {
 
-/** Which analyzers to run and with what environment assumptions. */
+/** Which analyzers lintPackedProgram runs. */
+enum class LintScope : uint8_t
+{
+    /** The per-packet hazard scan alone, linear in packet members: the
+     *  Cheap audit and the artifact-load gate. */
+    HazardsOnly,
+    /** Every analyzer: the Deep audit, the DCE re-lint, gcd2_lint. */
+    All,
+};
+
+/** Which analyzers to run and which alias claims to audit. */
 struct LintOptions
 {
-    bool useBeforeDef = true;
-    bool deadStore = true;
-    bool hazards = true;
-    bool noalias = true;
-    bool redundantLoad = true;
-    bool bounds = true;
-
-    /**
-     * Scalar registers holding valid values at program entry. When unset,
-     * defaults to Program::noaliasRegs -- the kernel buffer ABI, the same
-     * convention dsp::verifyProgram checks against.
-     */
-    const std::vector<int8_t> *entryDefinedRegs = nullptr;
+    LintScope scope = LintScope::All;
 
     /**
      * The may-alias oracle whose claims the noalias audit cross-checks
@@ -122,14 +121,13 @@ struct LintResult
     common::DiagSeverity maxSeverity() const;
 };
 
-/** Run the enabled analyzers over @p packed. */
+/** Run the analyzers @p options.scope selects over @p packed. */
 LintResult lintPackedProgram(const dsp::PackedProgram &packed,
                              const LintOptions &options = {});
 
 // Individual analyzers (append to @p diags, return finding count) -----
 
 size_t analyzeUseBeforeDef(const BlockGraph &graph,
-                           const LintOptions &options,
                            std::vector<common::Diag> &diags);
 size_t analyzeDeadStores(const BlockGraph &graph,
                          std::vector<common::Diag> &diags);

@@ -51,18 +51,16 @@ blockWriteMasks(const BlockGraph &graph)
 } // namespace
 
 size_t
-analyzeUseBeforeDef(const BlockGraph &graph, const LintOptions &options,
-                    std::vector<Diag> &diags)
+analyzeUseBeforeDef(const BlockGraph &graph, std::vector<Diag> &diags)
 {
     const dsp::Program &prog = *graph.program;
     if (prog.code.empty())
         return 0;
 
+    // The kernel buffer ABI: declared noalias bases hold valid pointers
+    // at entry, the same convention dsp::verifyProgram checks against.
     RegSet entry = 0;
-    const std::vector<int8_t> &entryRegs = options.entryDefinedRegs
-                                               ? *options.entryDefinedRegs
-                                               : prog.noaliasRegs;
-    for (int8_t reg : entryRegs)
+    for (int8_t reg : prog.noaliasRegs)
         if (reg >= 0 && reg < dsp::kNumScalarRegs)
             entry |= RegSet{1} << reg;
 

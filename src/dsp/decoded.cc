@@ -358,7 +358,7 @@ execVaddw(const DecodedInst &di, St &st)
     std::memcpy(a, vr[di.s0].data(), kVectorBytes);
     std::memcpy(b, vr[di.s1].data(), kVectorBytes);
     for (int i = 0; i < kVectorWords; ++i)
-        o[i] = a[i] + b[i];
+        o[i] = wrap32(int64_t{a[i]} + b[i]);
     std::memcpy(vr[di.d].data(), o, kVectorBytes);
     return -1;
 }
@@ -384,7 +384,7 @@ execVsubw(const DecodedInst &di, St &st)
     std::memcpy(a, vr[di.s0].data(), kVectorBytes);
     std::memcpy(b, vr[di.s1].data(), kVectorBytes);
     for (int i = 0; i < kVectorWords; ++i)
-        o[i] = a[i] - b[i];
+        o[i] = wrap32(int64_t{a[i]} - b[i]);
     std::memcpy(vr[di.d].data(), o, kVectorBytes);
     return -1;
 }
@@ -521,10 +521,11 @@ execVrmpy(const DecodedInst &di, St &st)
     int32_t acc[kVectorWords];
     std::memcpy(acc, vr[di.d].data(), kVectorBytes);
     for (int i = 0; i < kVectorWords; ++i) {
-        acc[i] += static_cast<int32_t>(a[4 * i]) * wb[0] +
-                  static_cast<int32_t>(a[4 * i + 1]) * wb[1] +
-                  static_cast<int32_t>(a[4 * i + 2]) * wb[2] +
-                  static_cast<int32_t>(a[4 * i + 3]) * wb[3];
+        acc[i] = wrap32(int64_t{acc[i]} +
+                        static_cast<int32_t>(a[4 * i]) * wb[0] +
+                        static_cast<int32_t>(a[4 * i + 1]) * wb[1] +
+                        static_cast<int32_t>(a[4 * i + 2]) * wb[2] +
+                        static_cast<int32_t>(a[4 * i + 3]) * wb[3]);
     }
     std::memcpy(vr[di.d].data(), acc, kVectorBytes);
     return -1;
@@ -581,7 +582,7 @@ execVmpyiw(const DecodedInst &di, St &st)
     int32_t a[kVectorWords];
     std::memcpy(a, vr[di.s0].data(), kVectorBytes);
     for (int i = 0; i < kVectorWords; ++i)
-        a[i] *= mult;
+        a[i] = wrap32(int64_t{a[i]} * mult);
     std::memcpy(vr[di.d].data(), a, kVectorBytes);
     return -1;
 }

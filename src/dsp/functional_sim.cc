@@ -132,8 +132,8 @@ executeInstruction(const Instruction &inst, RegisterFile &regs_,
         break;
       case Opcode::VADDW:
         for (int i = 0; i < kVectorWords; ++i)
-            regs_.setVecWord(d, i, regs_.vecWord(s0, i) +
-                                       regs_.vecWord(s1, i));
+            regs_.setVecWord(d, i, wrap32(int64_t{regs_.vecWord(s0, i)} +
+                                          regs_.vecWord(s1, i)));
         break;
       case Opcode::VSUBH:
         for (int i = 0; i < kVectorHalves; ++i)
@@ -142,8 +142,8 @@ executeInstruction(const Instruction &inst, RegisterFile &regs_,
         break;
       case Opcode::VSUBW:
         for (int i = 0; i < kVectorWords; ++i)
-            regs_.setVecWord(d, i, regs_.vecWord(s0, i) -
-                                       regs_.vecWord(s1, i));
+            regs_.setVecWord(d, i, wrap32(int64_t{regs_.vecWord(s0, i)} -
+                                          regs_.vecWord(s1, i)));
         break;
       case Opcode::VMAXB:
         for (int i = 0; i < kVectorBytes; ++i)
@@ -208,7 +208,8 @@ executeInstruction(const Instruction &inst, RegisterFile &regs_,
             int32_t dot = 0;
             for (int j = 0; j < 4; ++j)
                 dot += ubyte(s0, 4 * i + j) * scalarByte(s1, j);
-            regs_.setVecWord(d, i, regs_.vecWord(d, i) + dot);
+            regs_.setVecWord(d, i,
+                             wrap32(int64_t{regs_.vecWord(d, i)} + dot));
         }
         break;
       case Opcode::VTMPY:
@@ -240,7 +241,8 @@ executeInstruction(const Instruction &inst, RegisterFile &regs_,
       case Opcode::VMPYIW: {
         const auto mult = static_cast<int32_t>(sr[s1]);
         for (int i = 0; i < kVectorWords; ++i)
-            regs_.setVecWord(d, i, regs_.vecWord(s0, i) * mult);
+            regs_.setVecWord(d, i,
+                             wrap32(int64_t{regs_.vecWord(s0, i)} * mult));
         break;
       }
 

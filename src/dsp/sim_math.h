@@ -33,6 +33,18 @@ sat16(int64_t v)
     return static_cast<int16_t>(std::clamp<int64_t>(v, INT16_MIN, INT16_MAX));
 }
 
+/**
+ * A 32-bit word-lane result with the DSP's two's-complement wraparound.
+ * Word lanes add, subtract, accumulate and multiply in 64 bits (an
+ * int32 x int32 product fits) and keep the low 32 bits here: the same
+ * int32 arithmetic would be signed overflow, which C++ leaves undefined.
+ */
+inline int32_t
+wrap32(int64_t v)
+{
+    return static_cast<int32_t>(static_cast<uint32_t>(v));
+}
+
 /** Round-then-arithmetic-shift used by the narrowing shifts. */
 inline int64_t
 roundShift(int64_t v, int shift)

@@ -457,10 +457,6 @@ optimize(Graph &graph, const OptimizeOptions &options)
         // Sinking can re-expose Clamp-under-producer patterns.
         stats.fusedActivations += fuseClampActivations(graph);
     }
-    if (options.extendedFusion) {
-        stats.fusedLuts = fuseLutActivations(graph);
-        stats.fusedResiduals = fuseResidualAdds(graph);
-    }
     stats.removedNodes = eliminateDeadNodes(graph);
     inferShapes(graph);
     return stats;

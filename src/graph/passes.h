@@ -24,10 +24,6 @@ struct PassStats
     /** Estimated standalone transform cycles removed from the graph
      *  (analytic copy estimate; epilogue residue is charged to plans). */
     int64_t transformCyclesSaved = 0;
-
-    // Extended fusion (OptimizeOptions::extendedFusion).
-    int64_t fusedLuts = 0;
-    int64_t fusedResiduals = 0;
 };
 
 /** Knobs for optimize(). Defaults preserve historical behavior: model
@@ -38,8 +34,6 @@ struct OptimizeOptions
 {
     /** Cancel / sink / fuse layout transforms (Reshape, Transpose). */
     bool eliminateLayoutTransforms = false;
-    /** Also run fuseLutActivations + fuseResidualAdds. */
-    bool extendedFusion = false;
 };
 
 /**
@@ -65,7 +59,8 @@ int64_t eliminateDeadNodes(Graph &graph);
  * Gelu / Pow) into the producing Conv2D / MatMul kernel's epilogue --
  * the requantized bytes flow through one extra VLUT before the store
  * instead of a separate load/lookup/store pass over the tensor.
- * Not part of the default pipeline; enable explicitly.
+ * Not part of optimize(): callers that want it (bench/ablation_fusion)
+ * run it on the graph before compiling.
  */
 int64_t fuseLutActivations(Graph &graph);
 
@@ -73,7 +68,7 @@ int64_t fuseLutActivations(Graph &graph);
  * Companion fusion: fold a single-consumer residual Add into the
  * producing Conv2D / MatMul epilogue (the second operand streams through
  * the store path), saving a full pass over the output tensor. Part of
- * the same extension; enable explicitly.
+ * the same extension, and likewise run by the caller.
  */
 int64_t fuseResidualAdds(Graph &graph);
 
@@ -102,8 +97,8 @@ int64_t fuseResidualAdds(Graph &graph);
 int64_t eliminateLayoutTransforms(Graph &graph, PassStats &stats);
 
 /** Run the standard pipeline: fold, fuse, eliminate; then re-infer.
- *  OptimizeOptions gates the transform-elimination and extended-fusion
- *  rewrites (both off by default). */
+ *  OptimizeOptions gates the transform-elimination rewrites (off by
+ *  default). */
 PassStats optimize(Graph &graph, const OptimizeOptions &options = {});
 
 } // namespace gcd2::graph

@@ -183,14 +183,9 @@ CompilationSession::runPass(const char *name,
 void
 CompilationSession::passGraphOptimize(PassReport &pass)
 {
-    if (!options_.runGraphPasses) {
-        pass.counters.emplace_back("skipped", 1);
-        return;
-    }
     graph::OptimizeOptions optimizeOptions;
     optimizeOptions.eliminateLayoutTransforms =
         options_.eliminateLayoutTransforms;
-    optimizeOptions.extendedFusion = options_.enableExtendedFusion;
     const graph::PassStats stats =
         graph::optimize(graph_, optimizeOptions);
     transformCyclesSaved_ = stats.transformCyclesSaved;
@@ -214,13 +209,6 @@ CompilationSession::passGraphOptimize(PassReport &pass)
     pass.counters.emplace_back(
         "transform-cycles-saved",
         static_cast<uint64_t>(stats.transformCyclesSaved));
-    if (options_.enableExtendedFusion) {
-        pass.counters.emplace_back(
-            "lut-fused", static_cast<uint64_t>(stats.fusedLuts));
-        pass.counters.emplace_back(
-            "residual-fused",
-            static_cast<uint64_t>(stats.fusedResiduals));
-    }
     pass.counters.emplace_back(
         "live-operators", static_cast<uint64_t>(graph_.operatorCount()));
 }
@@ -640,12 +628,8 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     // compile -- only Errors count as failures alongside the structural
     // audits.
     analysis::LintOptions lintOpts;
-    lintOpts.useBeforeDef = deep;
-    lintOpts.deadStore = deep;
-    lintOpts.hazards = true;
-    lintOpts.noalias = deep;
-    lintOpts.redundantLoad = deep;
-    lintOpts.bounds = deep;
+    lintOpts.scope = deep ? analysis::LintScope::All
+                          : analysis::LintScope::HazardsOnly;
     analysis::LintCounts lint;
     size_t lintErrors = 0;
 

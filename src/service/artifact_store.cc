@@ -677,12 +677,7 @@ ArtifactStore::load(const ModelKey &key, const graph::Graph &graph,
     // schedule (the corruption the checksum cannot catch: a valid file
     // containing wrong bits).
     analysis::LintOptions lintOpts;
-    lintOpts.useBeforeDef = false;
-    lintOpts.deadStore = false;
-    lintOpts.hazards = true;
-    lintOpts.noalias = false;
-    lintOpts.redundantLoad = false;
-    lintOpts.bounds = false;
+    lintOpts.scope = analysis::LintScope::HazardsOnly;
 
     std::vector<const dsp::PackedProgram *> programs;
     std::set<const dsp::PackedProgram *> seen;

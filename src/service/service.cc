@@ -1,10 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
-
-#include "common/timer.h"
 
 namespace gcd2::service {
 
@@ -14,8 +11,8 @@ using common::Diag;
 using common::DiagSeverity;
 using runtime::CompiledModel;
 
-/** EWMA weight of the newest compile's timing sample. */
-constexpr double kTimingAlpha = 0.3;
+/** Compiled-model LRU capacity (whole models, so keep it small). */
+constexpr size_t kModelCacheEntries = 32;
 
 double
 percentile(std::vector<double> sorted, double p)
@@ -38,7 +35,7 @@ CompileService::CompileService(ServiceOptions options)
       // One shard: every lookup already runs under mutex_, so sharding
       // buys no concurrency, while splitting the capacity lets one full
       // shard evict models the cache as a whole still has room for.
-      modelCache_(options_.modelCacheEntries, /*shardCount=*/1),
+      modelCache_(kModelCacheEntries, /*shardCount=*/1),
       pool_(options_.numWorkers)
 {
     if (!options_.artifactDir.empty()) {
@@ -156,15 +153,7 @@ CompileService::serve(ModelKey key, graph::Graph graph,
         }
 
         if (!artifactHit) {
-            // Adaptive budget: only when the service has a wall-clock
-            // target and the caller left the budget open.
-            if (options.maxSelectorEvaluations == 0)
-                options.maxSelectorEvaluations = derivedBudget();
-
-            const Timer timer;
             CompiledModel compiled = runtime::compile(graph, options);
-            const double wallSeconds = timer.seconds();
-            observeCompile(compiled, wallSeconds);
 
             // An artifact the integrity gate rejected is explained in
             // the fresh compile's diagnostics, then overwritten below.
@@ -207,48 +196,6 @@ CompileService::serve(ModelKey key, graph::Graph graph,
 }
 
 void
-CompileService::observeCompile(const CompiledModel &model,
-                               double wallSeconds)
-{
-    const double selectionSeconds =
-        std::max(model.selector.seconds, 1e-9);
-    const double overhead =
-        std::max(wallSeconds - selectionSeconds, 0.0);
-    const double rate =
-        static_cast<double>(model.selector.evaluations) /
-        selectionSeconds;
-    if (rate <= 0.0)
-        return;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!haveTimingSamples_) {
-        evalsPerSecond_ = rate;
-        overheadSeconds_ = overhead;
-        haveTimingSamples_ = true;
-        return;
-    }
-    evalsPerSecond_ += kTimingAlpha * (rate - evalsPerSecond_);
-    overheadSeconds_ += kTimingAlpha * (overhead - overheadSeconds_);
-}
-
-uint64_t
-CompileService::derivedBudget() const
-{
-    if (options_.targetCompileMs <= 0.0)
-        return 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!haveTimingSamples_)
-        return 0;
-    const double searchSeconds = std::max(
-        options_.targetCompileMs / 1e3 - overheadSeconds_, 0.0);
-    const double budget = evalsPerSecond_ * searchSeconds;
-    if (budget >= 1e18) // effectively unbounded; keep it finite
-        return uint64_t{1} << 60;
-    return std::max(options_.minSelectorEvaluations,
-                    static_cast<uint64_t>(budget));
-}
-
-void
 CompileService::drain()
 {
     pool_.wait();
@@ -264,7 +211,6 @@ CompileService::report() const
     report.costCache = costCache_->stats();
     if (artifacts_ != nullptr)
         report.artifacts = artifacts_->stats();
-    report.currentDerivedBudget = derivedBudget();
 
     std::lock_guard<std::mutex> lock(mutex_);
     report.totalSubmits = totalSubmits_;
@@ -309,9 +255,6 @@ ServiceReport::toString() const
     if (artifacts.evictedBytes > 0)
         out << " (" << artifacts.evictedBytes << " bytes)";
     out << "\n";
-    if (currentDerivedBudget > 0)
-        out << "  derived selector budget: " << currentDerivedBudget
-            << " evaluations\n";
     for (const TenantStats &t : tenants) {
         out << "  tenant '" << t.tenant << "': " << t.submits
             << " submits, " << t.compiles << " compiles, "

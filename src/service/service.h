@@ -19,20 +19,12 @@
  *  5. A pool worker serves the compile: artifact-store warm start when
  *     the on-disk store has a verified artifact for the key (gated by
  *     re-audit + re-lint, see service/artifact_store.h), clean compile
- *     otherwise -- with the selector budget derived adaptively from the
- *     service's wall-clock target -- then writes the artifact back and
- *     populates the model LRU.
+ *     otherwise -- with exactly the options step 1 fingerprinted, so
+ *     the artifact is stored under the key of what it contains -- then
+ *     writes the artifact back and populates the model LRU.
  *
- * Adaptive budget: when ServiceOptions::targetCompileMs > 0 and the
- * caller did not pin a budget, the service derives
- * CompileOptions::maxSelectorEvaluations from instrumented pass timings
- * of previous compiles (an EWMA of selector evaluations/second and of
- * the non-selection pipeline overhead), so a slow machine or a pricey
- * model class automatically tightens the search instead of blowing the
- * latency target. A tightened search that truncates serves its
- * best-so-far assignment (never worse than the local baseline it is
- * seeded with) and is reported in the model's diagnostics, never
- * refused.
+ * A caller who needs a bounded search sets
+ * CompileOptions::maxSelectorEvaluations, which is part of the key.
  *
  * Every public method is thread-safe; submit() never blocks on compile
  * work (only on the admission bookkeeping mutex).
@@ -60,8 +52,8 @@ namespace gcd2::service {
 struct ServiceOptions
 {
     /** Base compile options every request starts from. The service owns
-     *  costCache (a shared cross-compile cache is installed) and may
-     *  derive maxSelectorEvaluations when the caller left it 0. */
+     *  costCache (a shared cross-compile cache is installed) and
+     *  numThreads (set from compileThreads). */
     runtime::CompileOptions compile{};
     /** Pool workers serving compiles; <= 0 picks hardware concurrency. */
     int numWorkers = 0;
@@ -70,20 +62,12 @@ struct ServiceOptions
     int compileThreads = 1;
     /** In-flight compile bound; requests beyond it are rejected. */
     size_t maxQueueDepth = 64;
-    /** Compiled-model LRU capacity (whole models, so keep it small). */
-    size_t modelCacheEntries = 32;
     /** Artifact directory; empty disables the on-disk store. */
     std::string artifactDir;
     /** Artifact-store size bound in bytes; 0 = unbounded. When set, the
      *  store garbage-collects after every save, evicting least-recently
      *  -used artifacts (see ArtifactStore::gc). */
     uint64_t artifactMaxBytes = 0;
-    /** Wall-clock compile target driving the adaptive selector budget;
-     *  0 disables derivation (unbudgeted unless the caller set one). */
-    double targetCompileMs = 0.0;
-    /** Floor under the derived budget: the search always gets at least
-     *  this many evaluations, however far behind target we run. */
-    uint64_t minSelectorEvaluations = 2000;
 };
 
 /** Outcome of one submit() call. */
@@ -136,9 +120,6 @@ struct ServiceReport
     size_t modelCacheCapacity = 0;
     ArtifactStore::Stats artifacts{}; ///< zero when the store is off
     common::CacheStats costCache; ///< service-shared kernel-cost cache
-    /** Selector budget the service would hand the next derivable
-     *  request (0 = no samples yet or derivation disabled). */
-    uint64_t currentDerivedBudget = 0;
 
     std::string toString() const;
 };
@@ -157,7 +138,7 @@ class CompileService
      * returned ticket's future resolves when a worker (or a cache) has
      * the model. @p overrides, when non-null, replaces the service's
      * base CompileOptions for this request (the service still installs
-     * its shared cost cache and derived budget on top).
+     * its shared cost cache and compile thread count on top).
      */
     Ticket submit(const graph::Graph &graph, const std::string &tenant,
                   const runtime::CompileOptions *overrides = nullptr);
@@ -167,10 +148,6 @@ class CompileService
 
     /** Point-in-time counters (callable while compiles run). */
     ServiceReport report() const;
-
-    /** Budget the adaptive policy would assign right now (test hook;
-     *  0 = disabled or no timing samples yet). */
-    uint64_t derivedBudget() const;
 
     const ServiceOptions &options() const { return options_; }
 
@@ -196,8 +173,6 @@ class CompileService
 
     void serve(ModelKey key, graph::Graph graph,
                runtime::CompileOptions options, std::string tenant);
-    void observeCompile(const runtime::CompiledModel &model,
-                        double wallSeconds);
 
     ServiceOptions options_;
     std::shared_ptr<select::CostCache> costCache_;
@@ -219,10 +194,6 @@ class CompileService
     std::map<std::string, TenantCounters> tenants_;
     uint64_t totalSubmits_ = 0;
     uint64_t totalCompiles_ = 0;
-    /** EWMA state behind the adaptive budget (guarded by mutex_). */
-    double evalsPerSecond_ = 0.0;  ///< selector evaluations / second
-    double overheadSeconds_ = 0.0; ///< non-selection pipeline seconds
-    bool haveTimingSamples_ = false;
 };
 
 } // namespace gcd2::service

@@ -78,48 +78,23 @@ TEST(CompilerTest, PipelineReportCoversEveryPass)
         EXPECT_NE(text.find(name), std::string::npos) << name;
 }
 
-TEST(CompilerTest, SkippingGraphPassesIsVisibleInReport)
-{
-    // Zoo builders already optimize their graphs, so skipping the
-    // graph pass must not change the result -- only the report.
-    const graph::Graph g = models::buildModel(ModelId::WdsrB);
-    CompileOptions raw;
-    raw.runGraphPasses = false;
-    // Transform elimination rewrites beyond what the builders ran, so
-    // hold it off to isolate the skip toggle itself.
-    CompileOptions rerun;
-    rerun.eliminateLayoutTransforms = false;
-    const CompiledModel with = compile(g, rerun);
-    const CompiledModel without = compile(g, raw);
-    EXPECT_EQ(with.totals.cycles, without.totals.cycles);
-    EXPECT_EQ(with.selection.planIndex, without.selection.planIndex);
-    const PassReport *pass = without.report.pass("graph-optimize");
-    ASSERT_NE(pass, nullptr);
-    EXPECT_EQ(pass->counter("skipped"), 1u);
-}
-
 TEST(CompilerTest, ExtendedFusionCompilesTinyBertClean)
 {
-    // Opt-in epilogue fusion (LUT activations, residual adds) on the
-    // gelu/softmax-heavy TinyBERT: candidates must actually fuse, the
+    // Epilogue fusion (LUT activations, residual adds) on the
+    // gelu/softmax-heavy TinyBERT, run on the graph before compiling as
+    // bench/ablation_fusion does: candidates must actually fuse, the
     // fused graph must be smaller, and the compile must stay clean.
     const graph::Graph g = models::buildModel(ModelId::TinyBert);
-    CompileOptions fused;
-    fused.enableExtendedFusion = true;
-    const CompiledModel extended = compile(g, fused);
+    graph::Graph fusedGraph = g;
+    const int64_t luts = graph::fuseLutActivations(fusedGraph);
+    const int64_t residuals = graph::fuseResidualAdds(fusedGraph);
+    EXPECT_GE(luts, 1);
+    const CompiledModel extended = compile(fusedGraph);
     const CompiledModel plain = compile(g);
-
-    const PassReport *pass = extended.report.pass("graph-optimize");
-    ASSERT_NE(pass, nullptr);
-    EXPECT_GE(pass->counter("lut-fused"), 1u);
-    // Plain compiles never report the opt-in counters.
-    EXPECT_EQ(plain.report.pass("graph-optimize")->counter("lut-fused"),
-              0u);
 
     // Each fused activation disappears as a standalone operator.
     EXPECT_EQ(extended.liveOperators,
-              plain.liveOperators - pass->counter("lut-fused") -
-                  pass->counter("residual-fused"));
+              plain.liveOperators - luts - residuals);
     EXPECT_GT(extended.totals.cycles, 0u);
     EXPECT_EQ(extended.report.diagnosticCount(
                   common::DiagSeverity::Error),

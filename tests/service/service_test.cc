@@ -4,8 +4,8 @@
  * submissions cost exactly one compile and observe bit-identical
  * models), deterministic admission control, the in-memory model cache,
  * artifact warm starts across service restarts (with fallback to a
- * clean compile when the artifact is corrupt), and the adaptive
- * selector-budget policy.
+ * clean compile when the artifact is corrupt), and a caller's selector
+ * budget keyed apart from the unbudgeted request.
  */
 #include <gtest/gtest.h>
 
@@ -297,58 +297,27 @@ TEST(ServiceTest, CorruptArtifactFallsBackToCleanCompileAndOverwrites)
               serializeModel(*model));
 }
 
-TEST(ServiceTest, AdaptiveBudgetDerivesFromObservedTimings)
+TEST(ServiceTest, CallerBudgetIsKeyedAndTruncates)
 {
-    const graph::Graph g = models::buildModel(ModelId::WdsrB);
+    // A bounded search is asked for through maxSelectorEvaluations,
+    // which is part of the key: the truncated model is stored apart from
+    // the unbudgeted one, so neither can be served for the other.
+    const graph::Graph g = models::buildModel(ModelId::MobileNetV3);
+    CompileService service{ServiceOptions{}};
 
-    ServiceOptions options;
-    options.targetCompileMs = 10'000.0; // generous: budget large
-    CompileService service(options);
-
-    // No samples yet: derivation has nothing to extrapolate from.
-    EXPECT_EQ(service.derivedBudget(), 0u);
-
-    service.submit(g, "t");
+    runtime::CompileOptions budgeted;
+    budgeted.maxSelectorEvaluations = 1;
+    const Ticket tight = service.submit(g, "t", &budgeted);
+    service.drain();
+    const Ticket open = service.submit(g, "t");
     service.drain();
 
-    const uint64_t budget = service.derivedBudget();
-    EXPECT_GE(budget, options.minSelectorEvaluations);
-    EXPECT_EQ(service.report().currentDerivedBudget, budget);
-}
-
-TEST(ServiceTest, TightBudgetTruncatesButStillServes)
-{
-    ServiceOptions options;
-    options.targetCompileMs = 1e-6; // impossible target
-    options.minSelectorEvaluations = 1;
-    CompileService service(options);
-
-    // First compile seeds the timing EWMA at full budget.
-    service.submit(models::buildModel(ModelId::WdsrB), "t");
-    service.drain();
-    EXPECT_EQ(service.derivedBudget(), 1u);
-
-    // Second (different) request gets the floor budget of 1 evaluation:
-    // the search truncates to best-so-far and degrades gracefully --
-    // marked truncated, still a valid served model.
-    const Ticket ticket =
-        service.submit(models::buildModel(ModelId::MobileNetV3), "t");
-    service.drain();
-    const auto model = ticket.result.get();
-    ASSERT_NE(model, nullptr);
-    EXPECT_TRUE(model->selector.truncated);
-    EXPECT_GT(model->totals.cycles, 0u);
-}
-
-TEST(ServiceTest, DisabledTargetNeverDerivesABudget)
-{
-    const graph::Graph g = models::buildModel(ModelId::WdsrB);
-    CompileService service{ServiceOptions{}}; // targetCompileMs = 0
-    const Ticket ticket = service.submit(g, "t");
-    service.drain();
-    EXPECT_EQ(service.derivedBudget(), 0u);
-    // An unbudgeted compile never truncates.
-    EXPECT_FALSE(ticket.result.get()->selector.truncated);
+    EXPECT_NE(tight.key, open.key);
+    EXPECT_EQ(open.path, Ticket::Path::Scheduled);
+    EXPECT_TRUE(tight.result.get()->selector.truncated);
+    EXPECT_FALSE(open.result.get()->selector.truncated);
+    EXPECT_EQ(serializeModel(*open.result.get()),
+              serializeModel(runtime::compile(g)));
 }
 
 } // namespace

@@ -12,15 +12,13 @@
  * every compile turn into an artifact warm start.
  *
  * Usage:
- *   gcd2_serve [--dir DIR] [--workers N] [--repeat N] [--target-ms MS]
+ *   gcd2_serve [--dir DIR] [--workers N] [--repeat N]
  *              [--max-artifact-bytes N] [--verbose] [--gc]
  *              [model-name ...]          (default: the whole zoo)
  *
  *   --dir DIR       artifact directory (enables the on-disk store)
  *   --workers N     service worker threads (default: hardware)
  *   --repeat N      submissions per model (default 3)
- *   --target-ms MS  wall-clock target driving the adaptive selector
- *                   budget (default 0 = fixed budget)
  *   --max-artifact-bytes N
  *                   artifact-store size bound; LRU-evicts after saves
  *                   (default 0 = unbounded)
@@ -49,15 +47,13 @@ printUsage(std::FILE *out, const char *prog)
     std::fprintf(
         out,
         "usage: %s [--dir DIR] [--workers N] [--repeat N]\n"
-        "       %*s [--target-ms MS] [--max-artifact-bytes N]\n"
-        "       %*s [--verbose] [--gc] [model-name ...]\n"
+        "       %*s [--max-artifact-bytes N] [--verbose] [--gc]\n"
+        "       %*s [model-name ...]\n"
         "\n"
         "  --dir DIR       artifact directory (enables the on-disk "
         "store)\n"
         "  --workers N     service worker threads (default: hardware)\n"
         "  --repeat N      submissions per model (default 3)\n"
-        "  --target-ms MS  wall-clock target driving the adaptive "
-        "selector budget\n"
         "  --max-artifact-bytes N\n"
         "                  artifact-store size bound; least-recently-"
         "used\n"
@@ -123,8 +119,6 @@ main(int argc, char **argv)
             options.numWorkers = std::atoi(value());
         else if (arg == "--repeat")
             repeat = std::atoi(value());
-        else if (arg == "--target-ms")
-            options.targetCompileMs = std::atof(value());
         else if (arg == "--max-artifact-bytes")
             options.artifactMaxBytes = static_cast<uint64_t>(
                 std::strtoull(value(), nullptr, 10));
